@@ -101,7 +101,7 @@ def _cmd_simulate(args, parser):
 
 
 def _cmd_sample(args, parser):
-    dims = [int(s) for s in args.dims.split(",")]
+    dims = args.dims
     if len(dims) < 2:
         parser.error("need at least two dims")
     if any(r < args.d for r in dims):
@@ -124,6 +124,23 @@ def _cmd_sample(args, parser):
     return 0
 
 
+def _positive_int(text):
+    """argparse type: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "%r is not an integer" % text) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be >= 1, got %d" % value)
+    return value
+
+
+def _positive_int_list(text):
+    """argparse type: comma-separated integers >= 1."""
+    return [_positive_int(s) for s in text.split(",")]
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="matrix-dirichlet",
@@ -135,7 +152,7 @@ def build_parser():
     p = sub.add_parser("verify", help="run an identity suite")
     p.add_argument("--suite", required=True, choices=SUITE_NAMES)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=None,
+    p.add_argument("--samples", type=_positive_int, default=None,
                    help="points/frames per identity (default per suite)")
     p.add_argument("--out", default=None, help="write the JSON report here")
 
@@ -146,18 +163,19 @@ def build_parser():
                    help='JSON file of realified coordinates, or "auto" '
                         "for the barycenter")
     p.add_argument("--dt", type=float, required=True)
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--thin", type=int, default=1)
+    p.add_argument("--steps", type=_positive_int, required=True)
+    p.add_argument("--thin", type=_positive_int, default=1)
     p.add_argument("--burn-in", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="CSV path output")
 
     p = sub.add_parser("sample", help="draw from the stationary law")
     p.add_argument("--law", required=True, choices=["matrix-dirichlet"])
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--dims", required=True,
+    p.add_argument("--d", type=_positive_int, required=True)
+    p.add_argument("--dims", type=_positive_int_list, required=True,
                    help="comma-separated Wishart degrees d1,..,dk")
-    p.add_argument("--n", type=int, required=True, help="number of draws")
+    p.add_argument("--n", type=_positive_int, required=True,
+                   help="number of draws")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="CSV output")
     return parser

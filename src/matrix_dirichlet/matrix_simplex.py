@@ -18,7 +18,7 @@ implemented over the realified entry coordinates:
 Both admit the matrix Dirichlet measure with parameter a as reversible law.
 """
 
-import json
+import functools
 
 import numpy as np
 from scipy.special import gammaln
@@ -26,20 +26,23 @@ from scipy.special import gammaln
 from .calculus import DiffusionModel
 from .errors import DomainError
 from .linalg import sqrtm_psd
-from .realify import HermLayout
+from .realify import simplex_layout
 
 
 class MatrixSimplexPoint:
     """n Hermitian psd matrices with Id - sum also psd."""
 
     def __init__(self, Z_list, check=True, tol=1e-12):
-        self.Z = [np.asarray(Z, dtype=complex) for Z in Z_list]
-        self.n = len(self.Z)
-        self.d = self.Z[0].shape[0]
+        try:
+            free = np.asarray(Z_list, dtype=complex)
+        except ValueError:
+            raise DomainError("inconsistent matrix dimensions") from None
+        if free.ndim != 3 or free.shape[1] != free.shape[2]:
+            raise DomainError("inconsistent matrix dimensions")
+        self.n, self.d = free.shape[:2]
+        self.Z = free  # (n, d, d): the free blocks
         if check:
             for Z in self.Z:
-                if Z.shape != (self.d, self.d):
-                    raise DomainError("inconsistent matrix dimensions")
                 if np.max(np.abs(Z - Z.conj().T)) > 1e-10:
                     raise DomainError("matrix is not Hermitian")
                 if np.min(np.linalg.eigvalsh(0.5 * (Z + Z.conj().T))) < -tol:
@@ -48,17 +51,24 @@ class MatrixSimplexPoint:
                 raise DomainError("Id - sum Z is not psd")
 
     def last(self):
-        acc = np.eye(self.d, dtype=complex)
-        for Z in self.Z:
-            acc = acc - Z
-        return 0.5 * (acc + acc.conj().T)
+        """Id - sum Z; exactly Hermitian when every Z is, as for points
+        read from real coordinates."""
+        return _identity(self.d) - self.Z.sum(axis=0)
 
     def all_blocks(self):
-        return self.Z + [self.last()]
+        """All n+1 blocks, the last one included, as an (n+1, d, d) array."""
+        out = np.empty((self.n + 1, self.d, self.d), dtype=complex)
+        out[:self.n] = self.Z
+        out[self.n] = self.last()
+        return out
 
 
-def simplex_layout(n, d):
-    return HermLayout(n, d)
+@functools.cache
+def _identity(d):
+    """Read-only d x d identity, built once per d for the EM hot path."""
+    eye = np.eye(d)
+    eye.flags.writeable = False
+    return eye
 
 
 def point_to_real(point):
@@ -70,12 +80,22 @@ def real_to_point(x, n, d, check=False):
 
 
 def in_matrix_simplex(x, n, d, margin=1e-12):
-    Zs = simplex_layout(n, d).from_real(x)
-    for Z in Zs:
-        if np.min(np.linalg.eigvalsh(Z)) < margin:
-            return False
-    last = np.eye(d, dtype=complex) - sum(Zs)
-    return bool(np.min(np.linalg.eigvalsh(last)) >= margin)
+    """Whether every block of x, Id - sum Z included, exceeds margin * Id.
+
+    The test is one Cholesky factorisation of the stacked (n+1, d, d)
+    array [Z_1 .. Z_n, Id - sum Z] - margin * Id: x is inside when each
+    block has all eigenvalues above margin.  Points whose smallest block
+    eigenvalue lies within roundoff of margin may go either way.  A
+    negative margin admits points that far outside the simplex.
+    """
+    S = MatrixSimplexPoint(simplex_layout(n, d).from_real(x),
+                           check=False).all_blocks()
+    S -= margin * _identity(d)
+    try:
+        np.linalg.cholesky(S)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def sample_interior(n, d, rng, dof=None, margin=1e-6):
@@ -164,23 +184,18 @@ def gamma_model1_entries(params, point):
     n, d = point.n, point.d
     A = params.A
     blocks = point.all_blocks()
-    dd = d * d
-    T = np.zeros((n * dd, n * dd), dtype=complex)
-    for p in range(n):
-        Zp = blocks[p]
-        for q in range(n):
-            Zq = blocks[q]
-            blk = -(A[p, q]
-                    * (np.einsum("il,kj->ijkl", Zq, Zp)
-                       + np.einsum("il,kj->ijkl", Zp, Zq)))
-            if p == q:
-                for s in range(n + 1):
-                    Zs = blocks[s]
-                    blk = blk + A[s, p] * (
-                        np.einsum("il,kj->ijkl", Zs, Zp)
-                        + np.einsum("kj,il->ijkl", Zs, Zp))
-            T[p * dd:(p + 1) * dd, q * dd:(q + 1) * dd] = blk.reshape(dd, dd)
-    return T
+    Z = blocks[:n]
+    # K[p, q, s] = delta_pq A_sp - delta_sq A_pq weighs the products of
+    # Z^(s) and Z^(p) in the (p, q) block
+    K = np.zeros((n, n, n + 1))
+    diag = np.arange(n)
+    K[diag, diag] = A[:, :n].T
+    K[:, diag, diag] -= A[:n, :n]
+    # sum_s K_pqs (Z^(s)_il Z^(p)_kj + Z^(p)_il Z^(s)_kj), indexed
+    # [p, i, j, q, k, l]
+    T = np.einsum("pqs,sil,pkj->pijqkl", K, blocks, Z)
+    T += np.einsum("pqs,pil,skj->pijqkl", K, Z, blocks)
+    return T.reshape(n * d * d, n * d * d)
 
 
 def gamma_model1(params, point):
@@ -192,14 +207,13 @@ def drift_model1_entries(params, point):
     n, d = point.n, point.d
     A, a = params.A, params.a
     blocks = point.all_blocks()
-    out = np.zeros(n * d * d, dtype=complex)
-    for p in range(n):
-        acc = np.zeros((d, d), dtype=complex)
-        for q in range(n + 1):
-            acc += 2.0 * (a[p] + d - 1.0) * A[p, q] * blocks[q]
-            acc -= 2.0 * (a[q] + d - 1.0) * A[p, q] * blocks[p]
-        out[p * d * d:(p + 1) * d * d] = acc.ravel()
-    return out
+    # sum_q 2 A_pq ((a_p + d - 1) Z^(q) - (a_q + d - 1) Z^(p)), as
+    # sum_s w_ps Z^(s)
+    c = 2.0 * (a + d - 1.0)
+    w = c[:n, None] * A[:n]
+    diag = np.arange(n)
+    w[diag, diag] -= A[:n] @ c
+    return np.einsum("ps,sij->pij", w, blocks).reshape(-1)
 
 
 def drift_model1(params, point):
@@ -312,29 +326,28 @@ class Model2Params:
 
 
 def gamma_model2_entries(params, point):
+    """Entry-space Gamma table of model II, indexed [p, i, j, q, k, l].
+
+    With P_pq = Z^(p) Z^(q) - delta_pq Z^(p), the A terms are
+    -A_kj (P_pq)_il - A_il (P_qp)_kj, a table plus its transpose.  The four
+    B terms are the commutator [Z^(q), W_pij^T]_kl with
+    W_pij[x, y] = sum_a B_iaxy Z^(p)_aj - Z^(p)_ia B_ajxy.
+    """
     n, d = point.n, point.d
     A = params.A
     B = params.B
-    blocks = point.all_blocks()
-    dd = d * d
-    T = np.zeros((n * dd, n * dd), dtype=complex)
-    for p in range(n):
-        Zp = blocks[p]
-        for q in range(n):
-            Zq = blocks[q]
-            ZpZq = Zp @ Zq
-            ZqZp = Zq @ Zp
-            blk = (-np.einsum("kj,il->ijkl", A, ZpZq)
-                   - np.einsum("il,kj->ijkl", A, ZqZp))
-            if p == q:
-                blk = blk + (np.einsum("il,kj->ijkl", A, Zp)
-                             + np.einsum("kj,il->ijkl", A, Zp))
-            blk = blk + np.einsum("ialb,aj,kb->ijkl", B, Zp, Zq)
-            blk = blk + np.einsum("ajbk,ia,bl->ijkl", B, Zp, Zq)
-            blk = blk - np.einsum("ajlb,ia,kb->ijkl", B, Zp, Zq)
-            blk = blk - np.einsum("iabk,aj,bl->ijkl", B, Zp, Zq)
-            T[p * dd:(p + 1) * dd, q * dd:(q + 1) * dd] = blk.reshape(dd, dd)
-    return T
+    Z = point.Z
+    P = Z[:, None] @ Z[None]
+    P.reshape(n * n, d, d)[::n + 1] -= Z
+    X = np.einsum("kj,pqil->pijqkl", A, P)
+    W = np.einsum("iaxy,paj->pijxy", B, Z)
+    W -= (Z @ B.reshape(d, d ** 3)).reshape(n, d, d, d, d)
+    Wt = W.swapaxes(3, 4)[:, :, :, None]
+    T = Z @ Wt
+    T -= Wt @ Z
+    T -= X
+    T -= X.transpose(3, 4, 5, 0, 1, 2)
+    return T.reshape(n * d * d, n * d * d)
 
 
 def gamma_model2(params, point):
@@ -347,20 +360,16 @@ def drift_model2_entries(params, point):
     A = params.A
     B = params.B
     a = params.a
-    blocks = point.all_blocks()
+    Z = point.Z
     coeff = float(np.sum(a[:n] - 1.0 + d) + (a[n] - 1.0))
-    out = np.zeros(n * d * d, dtype=complex)
-    for p in range(n):
-        Zp = blocks[p]
-        acc = 2.0 * (a[p] - 1.0 + d) * A
-        acc = acc - coeff * (A @ Zp + Zp @ A)
-        acc = acc - 2.0 * A * np.trace(Zp)
-        acc = acc + np.einsum("iajb,ab->ij", B, Zp)
-        acc = acc + np.einsum("bjai,ab->ij", B, Zp)
-        acc = acc - np.einsum("iaba,bj->ij", B, Zp)
-        acc = acc - np.einsum("bjba,ia->ij", B, Zp)
-        out[p * d * d:(p + 1) * d * d] = acc.ravel()
-    return out
+    out = (2.0 * (a[:n] - 1.0 + d))[:, None, None] * A
+    out -= coeff * (A @ Z + Z @ A)
+    out -= 2.0 * np.trace(Z, axis1=1, axis2=2)[:, None, None] * A
+    out += np.einsum("iajb,pab->pij", B, Z)
+    out += np.einsum("bjai,pab->pij", B, Z)
+    out -= np.einsum("iaba,pbj->pij", B, Z)
+    out -= np.einsum("bjba,pia->pij", B, Z)
+    return out.reshape(-1)
 
 
 def drift_model2(params, point):
@@ -452,8 +461,3 @@ def params_from_json(obj):
         B = Bmat.reshape(d, d, d, d)
         return Model2Params(A, B, a), n, d
     raise ValueError("unknown model %r" % (model,))
-
-
-def load_params(path):
-    with open(path) as fh:
-        return params_from_json(json.load(fh))

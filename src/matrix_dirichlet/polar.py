@@ -24,7 +24,7 @@ diagonal phase (H, N, x, Z) need no alignment.
 import numpy as np
 
 from .calculus import DiffusionModel, ProjectionMap
-from .errors import SingularError
+from .errors import MatrixDirichletError, SingularError
 from .linalg import _hermitize, hermitian_eigen
 from .realify import CoordStack, CplxLayout, HermLayout, RealLayout
 from .simplex import ScalarModelParams
@@ -356,7 +356,7 @@ def sample_polar_frame(d, rng, gap_min=0.25, x_min=0.3, max_tries=200):
              + 1j * rng.standard_normal((d, d)))
         try:
             fr = PolarFrame(m, check=False)
-        except Exception:
+        except (MatrixDirichletError, np.linalg.LinAlgError):
             continue
         if np.min(fr.lam) < x_min:
             continue

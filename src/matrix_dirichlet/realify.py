@@ -8,15 +8,24 @@ coefficient matrices
     entries = E @ x_real          (each complex entry as a linear form)
     x_real  = Re(D @ entries)     (each real coordinate as a linear form)
 
-and every conversion (co-metric, drift, gradient) is a matrix sandwich with
-E or D.  Since Gamma is bilinear over first-order forms,
+which define every conversion.  Since Gamma is bilinear over first-order
+forms,
 
     Gamma(x_a, x_b) = (D T D^T)_ab   with  T_ef = Gamma(entry_e, entry_f),
 
 and conversely T = E G E^T for a real co-metric G.  Drifts convert by
 linearity: L(x_a) = Re(D @ L(entries)), L(entry_e) = (E @ L(x))_e.  For a
 scalar function f(x) = F(entries), grad_x f = Re(E^T @ dF/dentries).
+
+E and D have at most two non-zeros per row.  The Hermitian layout, which
+sits on the simulation hot path, converts points (`to_real`/`from_real`)
+by gathers through precomputed index arrays rather than products with E and
+D.  Co-metrics and drifts stay dense products: at state dimensions 4 to 27
+an index-map version measured no faster.  `simplex_layout` hands out one
+shared, read-only layout per shape.
 """
+
+import functools
 
 import numpy as np
 
@@ -71,33 +80,59 @@ class HermLayout(Realifier):
         self.real_dim = n * d * d
         self.n_entries = n * d * d
 
-        pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+        iu, ju = np.triu_indices(d, 1)
+        pairs = list(zip(iu.tolist(), ju.tolist()))
         self._pair_pos = {p: k for k, p in enumerate(pairs)}
         self.pairs = pairs
 
+        # per block k (offset k*d^2 in both spaces): entry indices of the
+        # diagonal, upper and lower entries, and the real coordinates of the
+        # diagonal and of each (Re, Im) pair
+        off = (np.arange(n) * self.block)[:, None]
+        e_diag = (off + np.arange(d) * (d + 1)).ravel()
+        e_up = (off + iu * d + ju).ravel()
+        e_lo = (off + ju * d + iu).ravel()
+        c_diag = (off + np.arange(d)).ravel()
+        c_re = (off + d + 2 * np.arange(len(pairs))).ravel()
+        c_im = c_re + 1
+
         E = np.zeros((self.n_entries, self.real_dim), dtype=complex)
+        E[e_diag, c_diag] = 1.0
+        E[e_up, c_re] = 1.0
+        E[e_up, c_im] = 1.0j
+        E[e_lo, c_re] = 1.0
+        E[e_lo, c_im] = -1.0j
         D = np.zeros((self.real_dim, self.n_entries), dtype=complex)
-        for k in range(n):
-            for i in range(d):
-                e = self.entry_index(k, i, i)
-                c = self.diag_index(k, i)
-                E[e, c] = 1.0
-                D[c, e] = 1.0
-            for (i, j) in pairs:
-                re = self.re_index(k, i, j)
-                im = self.im_index(k, i, j)
-                e_ij = self.entry_index(k, i, j)
-                e_ji = self.entry_index(k, j, i)
-                E[e_ij, re] = 1.0
-                E[e_ij, im] = 1.0j
-                E[e_ji, re] = 1.0
-                E[e_ji, im] = -1.0j
-                D[re, e_ij] = 0.5
-                D[re, e_ji] = 0.5
-                D[im, e_ij] = -0.5j
-                D[im, e_ji] = 0.5j
+        D[c_diag, e_diag] = 1.0
+        D[c_re, e_up] = 0.5
+        D[c_re, e_lo] = 0.5
+        D[c_im, e_up] = -0.5j
+        D[c_im, e_lo] = 0.5j
+
+        # Index maps over the float view of the stacked entries, where
+        # entry e occupies slots 2e (Re) and 2e + 1 (Im).
+        # to_real: x = entries_float[take]
+        take = np.empty(self.real_dim, dtype=np.intp)
+        take[c_diag] = 2 * e_diag
+        take[c_re] = 2 * e_up
+        take[c_im] = 2 * e_up + 1
+        # from_real: entries_float = sign * x[put]; the Im slots of the
+        # diagonal have sign 0, the Im slots of lower entries sign -1
+        put = np.zeros(2 * self.n_entries, dtype=np.intp)
+        sign = np.zeros(2 * self.n_entries)
+        put[2 * e_diag] = c_diag
+        put[2 * e_up] = put[2 * e_lo] = c_re
+        put[2 * e_up + 1] = put[2 * e_lo + 1] = c_im
+        sign[2 * e_diag] = sign[2 * e_up] = sign[2 * e_lo] = 1.0
+        sign[2 * e_up + 1] = 1.0
+        sign[2 * e_lo + 1] = -1.0
+        for arr in (E, D, take, put, sign):
+            arr.flags.writeable = False
         self.E = E
         self.D = D
+        self._take = take
+        self._put = put
+        self._sign = sign
 
     def entry_index(self, k, i, j):
         return k * self.block + i * self.d + j
@@ -112,28 +147,26 @@ class HermLayout(Realifier):
         return k * self.block + self.d + 2 * self._pair_pos[(i, j)] + 1
 
     def to_real(self, Z_list):
-        Z_list = [np.asarray(Z) for Z in Z_list]
-        x = np.empty(self.real_dim)
-        for k, Z in enumerate(Z_list):
-            for i in range(self.d):
-                x[self.diag_index(k, i)] = Z[i, i].real
-            for (i, j) in self.pairs:
-                x[self.re_index(k, i, j)] = Z[i, j].real
-                x[self.im_index(k, i, j)] = Z[i, j].imag
-        return x
+        """Real coordinates of n Hermitian blocks (a list or an (n, d, d)
+        array); only the diagonal and upper triangle are read."""
+        Z = np.ascontiguousarray(Z_list, dtype=complex)
+        return Z.view(float).reshape(-1)[self._take]
 
     def from_real(self, x):
-        out = []
-        for k in range(self.n):
-            Z = np.zeros((self.d, self.d), dtype=complex)
-            for i in range(self.d):
-                Z[i, i] = x[self.diag_index(k, i)]
-            for (i, j) in self.pairs:
-                z = x[self.re_index(k, i, j)] + 1j * x[self.im_index(k, i, j)]
-                Z[i, j] = z
-                Z[j, i] = np.conj(z)
-            out.append(Z)
-        return out
+        """The n Hermitian blocks of x, as one (n, d, d) complex array."""
+        out = np.asarray(x, dtype=float).take(self._put)
+        out *= self._sign
+        return out.view(complex).reshape(self.n, self.d, self.d)
+
+
+@functools.cache
+def simplex_layout(n, d):
+    """The shared HermLayout of n Hermitian d x d blocks.
+
+    One read-only instance per (n, d) for the life of the process, so the
+    simulation loop converts points without rebuilding index maps.
+    """
+    return HermLayout(n, d)
 
 
 class CplxLayout(Realifier):

@@ -15,6 +15,7 @@ size and a standard error for the mean.
 """
 
 import csv
+import functools
 import json
 
 import numpy as np
@@ -50,6 +51,15 @@ class SimConfig:
                 "burn_in": self.burn_in}
 
 
+@functools.cache
+def _lower_mask(n):
+    """Read-only lower-triangular 0/1 mask of order n, built once per
+    order (np.tril builds a new one on every call)."""
+    mask = np.tri(n)
+    mask.flags.writeable = False
+    return mask
+
+
 def diffusion_factor(G):
     """Matrix sigma with sigma sigma^T = 2 G, via pivoted Cholesky.
 
@@ -59,16 +69,19 @@ def diffusion_factor(G):
     """
     G = np.asarray(G, dtype=float)
     A = G + G.T  # = 2 G for symmetric G, symmetrizes roundoff otherwise
-    scale = max(float(np.max(np.abs(A))), 1e-300)
+    scale = max(float(np.abs(A).max()), 1e-300)
     c, piv, rank, info = dpstrf(A, lower=1)
     if info < 0:
         raise NotPsdError("pivoted Cholesky failed (info %d)" % info)
     n = A.shape[0]
-    L = np.tril(c)
-    L[:, rank:] = 0.0
-    sigma = np.zeros_like(L)
-    sigma[piv - 1, :] = L  # undo the permutation: A = P L L^T P^T
-    resid = float(np.max(np.abs(sigma @ sigma.T - A)))
+    c *= _lower_mask(n)  # the strict upper triangle still holds A
+    if rank < n:
+        c[:, rank:] = 0.0
+    sigma = np.empty((n, n))
+    sigma[piv - 1] = c  # undo the permutation: A = P L L^T P^T
+    R = sigma @ sigma.T
+    R -= A
+    resid = float(np.abs(R, out=R).max())
     if resid > 1e-10 * scale:
         raise NotPsdError(
             "matrix is not psd (factor residual %.3e)" % resid)

@@ -20,7 +20,8 @@ the generic pushforward engine can verify each one.
 import numpy as np
 
 from .calculus import DiffusionModel, ProjectionMap
-from .errors import DomainError, NotPsdError, StepRejectedError
+from .errors import (
+    DomainError, MatrixDirichletError, NotPsdError, StepRejectedError)
 from .linalg import hermitian_eigen, sqrtm_psd
 from .matrix_simplex import (
     MatrixSimplexPoint, Model2Params, log_gamma_d, simplex_layout)
@@ -47,7 +48,7 @@ class WishartFamily:
 
 
 def wishart_layout(n_blocks, d):
-    return HermLayout(n_blocks, d)
+    return simplex_layout(n_blocks, d)
 
 
 def wishart_ambient(d, dims):
@@ -197,7 +198,6 @@ class SMZFrame:
         self.Ninv = 0.5 * (self.Ninv + self.Ninv.conj().T)
         self.M = []
         self.Z = []
-        Dinv = np.diag(1.0 / self.lam)
         for W in family.W[:self.n]:
             M = self.Ninv @ W @ self.Ninv
             M = 0.5 * (M + M.conj().T)
@@ -557,7 +557,7 @@ def sample_smz_frame(d, dims, rng, gap_min=0.25, pivot_min=0.05,
         family = sample_wishart_family(d, dims, rng)
         try:
             fr = SMZFrame(family, gap_tol=1e-10)
-        except Exception:
+        except (MatrixDirichletError, np.linalg.LinAlgError):
             continue
         if np.min(np.diff(fr.lam)) < gap_min:
             continue

@@ -121,3 +121,23 @@ def test_sample_invalid_dims_exits_2(tmp_path):
               "--dims", "1,3", "--n", "5",
               "--out", str(tmp_path / "x.csv")])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--law", "matrix-dirichlet", "--d", "2", "--dims", "3,3",
+     "--n", "-3"],
+    ["sample", "--law", "matrix-dirichlet", "--d", "0", "--dims", "3,3",
+     "--n", "5"],
+    ["sample", "--law", "matrix-dirichlet", "--d", "2", "--dims", "3,x",
+     "--n", "5"],
+    ["verify", "--suite", "polar", "--samples", "-1"],
+], ids=["sample-n", "sample-d", "sample-dims", "verify-samples"])
+def test_non_positive_counts_exit_2(argv, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    if argv[0] == "sample":
+        argv = argv + ["--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error: argument" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from matrix_dirichlet.calculus import grad_log_numeric, reversibility_residual
 from matrix_dirichlet.errors import DomainError
 from matrix_dirichlet.matrix_simplex import (
     MatrixSimplexPoint, Model1Params, Model2Params, drift_model1,
-    drift_model2, ellipticity_model1, gamma_model1, gamma_model1_entries,
+    drift_model1_entries, drift_model2, drift_model2_entries,
+    ellipticity_model1, gamma_model1, gamma_model1_entries,
     gamma_model2, gamma_model2_entries, in_matrix_simplex, log_gamma_d,
     matrix_dirichlet_grad_log, matrix_dirichlet_log_density, model1, model2,
     params_from_json, params_to_json, point_to_real, real_to_point,
@@ -64,6 +66,32 @@ def test_sample_interior_valid(rng):
         p = sample_interior(2, 2, rng, margin=1e-3)
         for Z in p.all_blocks():
             assert np.min(np.linalg.eigvalsh(Z)) > 1e-3
+
+
+def _min_block_eigenvalue(x, n, d):
+    blocks = real_to_point(x, n, d).all_blocks()
+    return min(np.linalg.eigvalsh(B).min() for B in blocks)
+
+
+@given(n=st.integers(1, 3), d=st.integers(1, 4), seed=st.integers(0, 2**31),
+       margin=st.sampled_from([0.0, 1e-12, 1e-6, -1e-10]),
+       offset=st.floats(-0.05, 0.05))
+@settings(max_examples=150, deadline=None)
+def test_domain_test_matches_eigenvalues(n, d, seed, margin, offset):
+    # B -> c B + (1 - c) Id / (n + 1) maps every block of a simplex point
+    # (the last one included) affinely; c puts the smallest block
+    # eigenvalue at margin + offset, inside or outside
+    gen = np.random.Generator(np.random.Philox(seed))
+    x = point_to_real(sample_interior(n, d, gen))
+    centre = point_to_real(MatrixSimplexPoint(
+        [np.eye(d) / (n + 1)] * n))
+    low = _min_block_eigenvalue(x, n, d)
+    assume(1.0 / (n + 1) - low > 1e-3)
+    c = (1.0 / (n + 1) - (margin + offset)) / (1.0 / (n + 1) - low)
+    y = centre + c * (x - centre)
+    lam = _min_block_eigenvalue(y, n, d)
+    assume(abs(lam - margin) > 1e-9)
+    assert in_matrix_simplex(y, n, d, margin=margin) == (lam > margin)
 
 
 # -- density ------------------------------------------------------------------
@@ -142,6 +170,101 @@ def test_model1_entry_table_symmetries(rng):
     G = gamma_model1(mp, point)
     np.testing.assert_allclose(G, G.T, atol=1e-12)
     assert np.min(np.linalg.eigvalsh(G)) > 0
+
+
+# Block-by-block loops over the closed forms, kept as the reference for the
+# vectorised tables.
+
+def _loop_gamma_model1(params, point):
+    n, d, A = point.n, point.d, params.A
+    blocks = point.all_blocks()
+    dd = d * d
+    T = np.zeros((n * dd, n * dd), dtype=complex)
+    for p in range(n):
+        for q in range(n):
+            Zp, Zq = blocks[p], blocks[q]
+            blk = -A[p, q] * (np.einsum("il,kj->ijkl", Zq, Zp)
+                              + np.einsum("il,kj->ijkl", Zp, Zq))
+            if p == q:
+                for s in range(n + 1):
+                    blk = blk + A[s, p] * (
+                        np.einsum("il,kj->ijkl", blocks[s], Zp)
+                        + np.einsum("kj,il->ijkl", blocks[s], Zp))
+            T[p * dd:(p + 1) * dd, q * dd:(q + 1) * dd] = blk.reshape(dd, dd)
+    return T
+
+
+def _loop_drift_model1(params, point):
+    n, d, A, a = point.n, point.d, params.A, params.a
+    blocks = point.all_blocks()
+    out = []
+    for p in range(n):
+        acc = np.zeros((d, d), dtype=complex)
+        for q in range(n + 1):
+            acc += 2.0 * (a[p] + d - 1.0) * A[p, q] * blocks[q]
+            acc -= 2.0 * (a[q] + d - 1.0) * A[p, q] * blocks[p]
+        out.append(acc.ravel())
+    return np.concatenate(out)
+
+
+def _loop_gamma_model2(params, point):
+    n, d, A, B = point.n, point.d, params.A, params.B
+    Z = point.Z
+    dd = d * d
+    T = np.zeros((n * dd, n * dd), dtype=complex)
+    for p in range(n):
+        for q in range(n):
+            Zp, Zq = Z[p], Z[q]
+            blk = (-np.einsum("kj,il->ijkl", A, Zp @ Zq)
+                   - np.einsum("il,kj->ijkl", A, Zq @ Zp))
+            if p == q:
+                blk = blk + (np.einsum("il,kj->ijkl", A, Zp)
+                             + np.einsum("kj,il->ijkl", A, Zp))
+            blk = blk + np.einsum("ialb,aj,kb->ijkl", B, Zp, Zq)
+            blk = blk + np.einsum("ajbk,ia,bl->ijkl", B, Zp, Zq)
+            blk = blk - np.einsum("ajlb,ia,kb->ijkl", B, Zp, Zq)
+            blk = blk - np.einsum("iabk,aj,bl->ijkl", B, Zp, Zq)
+            T[p * dd:(p + 1) * dd, q * dd:(q + 1) * dd] = blk.reshape(dd, dd)
+    return T
+
+
+def _loop_drift_model2(params, point):
+    n, d, A, B, a = point.n, point.d, params.A, params.B, params.a
+    coeff = float(np.sum(a[:n] - 1.0 + d) + (a[n] - 1.0))
+    out = []
+    for p, Zp in enumerate(point.Z):
+        acc = 2.0 * (a[p] - 1.0 + d) * A
+        acc = acc - coeff * (A @ Zp + Zp @ A)
+        acc = acc - 2.0 * A * np.trace(Zp)
+        acc = acc + np.einsum("iajb,ab->ij", B, Zp)
+        acc = acc + np.einsum("bjai,ab->ij", B, Zp)
+        acc = acc - np.einsum("iaba,bj->ij", B, Zp)
+        acc = acc - np.einsum("bjba,ia->ij", B, Zp)
+        out.append(acc.ravel())
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_closed_forms_match_block_loops(n, d, rng):
+    C = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal(
+        (d * d, d * d))
+    A2 = model2_fixture(rng, d)[0]
+    B2 = (C @ C.conj().T / (d * d)).reshape(d, d, d, d)
+    for _ in range(3):
+        a = rng.uniform(0.5, 3.0, n + 1)
+        A1 = random_A(rng, n + 1) + np.diag(rng.uniform(0.0, 1.0, n + 1))
+        mp1 = Model1Params(A1, a)
+        mp2 = Model2Params(A2, B2, a)
+        point = sample_interior(n, d, rng)
+        for fast, loop, mp in [
+                (gamma_model1_entries, _loop_gamma_model1, mp1),
+                (drift_model1_entries, _loop_drift_model1, mp1),
+                (gamma_model2_entries, _loop_gamma_model2, mp2),
+                (drift_model2_entries, _loop_drift_model2, mp2)]:
+            ref = loop(mp, point)
+            np.testing.assert_allclose(fast(mp, point), ref,
+                                       rtol=0, atol=1e-13 * np.abs(ref).max())
 
 
 def test_model1_reversibility(rng):

@@ -191,3 +191,14 @@ def test_w_column_projectors(rng):
     expect_L = hlay.drift_to_real(drift_model1_entries(params, point))
     np.testing.assert_allclose(G, expect_G, atol=1e-6)
     np.testing.assert_allclose(L, expect_L, atol=1e-4)
+
+
+def test_sample_polar_frame_propagates_foreign_errors(rng, monkeypatch):
+    from matrix_dirichlet import polar
+
+    def broken(*args, **kwargs):
+        raise TypeError("not a sampling failure")
+
+    monkeypatch.setattr(polar, "PolarFrame", broken)
+    with pytest.raises(TypeError):
+        sample_polar_frame(2, rng)

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matrix_dirichlet.realify import CoordStack, CplxLayout, HermLayout, RealLayout
+from matrix_dirichlet.realify import (
+    CoordStack, CplxLayout, HermLayout, RealLayout, simplex_layout)
+from matrix_dirichlet.wishart import wishart_layout
 
 from conftest import random_hermitian
 
@@ -17,6 +19,40 @@ def test_herm_roundtrip(n, d, seed):
     back = layout.from_real(x)
     for Z, B in zip(Zs, back):
         np.testing.assert_allclose(B, Z, atol=1e-14)
+    # integer lists and float32 arrays read as float64 coordinates
+    xi = np.arange(layout.real_dim)
+    for xs in (xi.tolist(), xi.astype(np.float32)):
+        np.testing.assert_array_equal(layout.from_real(xs),
+                                      layout.from_real(xi.astype(float)))
+    # every coordinate sits where the index helpers say
+    for k, Z in enumerate(Zs):
+        for i in range(d):
+            assert x[layout.diag_index(k, i)] == Z[i, i].real
+        for (i, j) in layout.pairs:
+            assert x[layout.re_index(k, i, j)] == Z[i, j].real
+            assert x[layout.im_index(k, i, j)] == Z[i, j].imag
+    # the index maps agree with the coefficient matrices they replace
+    np.testing.assert_array_equal(
+        np.asarray(back).ravel(), layout.E @ x)
+    np.testing.assert_array_equal(
+        x, (layout.D @ np.asarray(Zs).ravel()).real)
+
+
+def test_simplex_layout_is_shared():
+    assert simplex_layout(2, 3) is simplex_layout(2, 3)
+    assert wishart_layout(2, 3) is simplex_layout(2, 3)
+    assert simplex_layout(2, 3) is not simplex_layout(3, 2)
+
+
+def test_shared_layout_is_read_only():
+    layout = simplex_layout(1, 2)
+    with pytest.raises(ValueError):
+        layout.E[0, 0] = 2.0
+    with pytest.raises(ValueError):
+        layout.D[0, 0] = 2.0
+    for arr in (layout._take, layout._put, layout._sign):
+        with pytest.raises(ValueError):
+            arr[0] = 1
 
 
 def test_herm_E_D_are_inverse():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matrix_dirichlet.calculus import (
     DiffusionModel, reversibility_residual)
@@ -32,6 +33,24 @@ def test_diffusion_factor_random_psd(rng):
         G = B @ B.T
         s = diffusion_factor(G)
         assert np.max(np.abs(s @ s.T - 2.0 * G)) < 1e-10 * np.max(np.abs(G))
+
+
+@given(m=st.integers(1, 8), data=st.data(), seed=st.integers(0, 2**31))
+@settings(max_examples=60, deadline=None)
+def test_diffusion_factor_rank_deficient_and_indefinite(m, data, seed):
+    gen = np.random.Generator(np.random.Philox(seed))
+    rank = data.draw(st.integers(0, m - 1))
+    X = gen.standard_normal((m, rank))
+    G = X @ X.T
+    s = diffusion_factor(G)
+    scale = max(np.max(np.abs(G)), 1e-300)
+    assert np.max(np.abs(s @ s.T - 2.0 * G)) <= 1e-10 * 2.0 * scale
+    # one eigenvalue pushed well below zero
+    Q, _ = np.linalg.qr(gen.standard_normal((m, m)))
+    lam = gen.uniform(0.1, 1.0, m)
+    lam[0] = -0.5
+    with pytest.raises(NotPsdError):
+        diffusion_factor(Q @ np.diag(lam) @ Q.T)
 
 
 def test_em_step_deterministic_limit(rng):

@@ -238,3 +238,14 @@ def test_direct_sampler_moments(rng):
         acc += p.Z[0]
     np.testing.assert_allclose(acc / M2, 0.5 * np.eye(2),
                                atol=5.0 / np.sqrt(M2))
+
+
+def test_sample_smz_frame_propagates_foreign_errors(rng, monkeypatch):
+    from matrix_dirichlet import wishart
+
+    def broken(*args, **kwargs):
+        raise TypeError("not a sampling failure")
+
+    monkeypatch.setattr(wishart, "SMZFrame", broken)
+    with pytest.raises(TypeError):
+        sample_smz_frame(2, [3, 3], rng)
