@@ -98,22 +98,33 @@ def in_matrix_simplex(x, n, d, margin=1e-12):
     return True
 
 
+def _ginibre_squares(d, dims, rng):
+    """G G* for one standard complex Ginibre d x r matrix G per r in dims
+    (entry variance 2): independent complex Wishart blocks."""
+    out = []
+    for r in dims:
+        r = int(r)
+        G = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
+        out.append(G @ G.conj().T)
+    return out
+
+
+def sample_matrix_dirichlet_direct(d, dims, rng):
+    """Exact matrix Dirichlet draw with a_p = d_p - d + 1 via Wishart ratios."""
+    Ws = _ginibre_squares(d, dims, rng)
+    Tis = np.linalg.inv(sqrtm_psd(sum(Ws)))
+    Z = Tis @ np.array(Ws[:-1]) @ Tis
+    return MatrixSimplexPoint(0.5 * (Z + Z.conj().swapaxes(1, 2)), check=False)
+
+
 def sample_interior(n, d, rng, dof=None, margin=1e-6):
-    """Random strictly interior point via normalized sums of Ginibre squares."""
-    dof = dof if dof is not None else d + 1
+    """Random point at least margin inside: a matrix Dirichlet draw with
+    every Wishart degree dof (default d + 1), redrawn until inside."""
+    dims = [dof if dof is not None else d + 1] * (n + 1)
     while True:
-        R = []
-        for _ in range(n + 1):
-            G = (rng.standard_normal((d, dof))
-                 + 1j * rng.standard_normal((d, dof)))
-            R.append(G @ G.conj().T)
-        T = sum(R)
-        Tis = np.linalg.inv(sqrtm_psd(T))
-        Zs = [Tis @ Rp @ Tis for Rp in R[:n]]
-        Zs = [0.5 * (Z + Z.conj().T) for Z in Zs]
-        x = simplex_layout(n, d).to_real(Zs)
-        if in_matrix_simplex(x, n, d, margin=margin):
-            return MatrixSimplexPoint(Zs, check=False)
+        point = sample_matrix_dirichlet_direct(d, dims, rng)
+        if in_matrix_simplex(point_to_real(point), n, d, margin=margin):
+            return point
 
 
 # -- matrix Dirichlet measure -------------------------------------------------
@@ -147,21 +158,13 @@ def matrix_dirichlet_grad_log(a, point):
     n, d = point.n, point.d
     layout = simplex_layout(n, d)
     blocks = point.all_blocks()
-    invs = []
-    for Z in blocks:
-        if np.min(np.linalg.eigvalsh(Z)) <= 0:
-            raise DomainError("gradient needs a strictly interior point")
-        invs.append(np.linalg.inv(Z))
-    g = np.zeros(layout.n_entries, dtype=complex)
-    for p in range(n):
-        for i in range(d):
-            for j in range(d):
-                # d/dZ^(p)_ij of log det Z^(p) is (Z^(p)^-1)_ji, and the
-                # last block depends on Z^(p) with a minus sign
-                g[layout.entry_index(p, i, j)] = (
-                    (a[p] - 1.0) * invs[p][j, i]
-                    - (a[n] - 1.0) * invs[n][j, i])
-    return layout.grad_to_real(g)
+    if np.min(np.linalg.eigvalsh(blocks)) <= 0:
+        raise DomainError("gradient needs a strictly interior point")
+    # d/dZ^(p)_ij of log det Z^(p) is (Z^(p)^-1)_ji, and the last block
+    # depends on Z^(p) with a minus sign
+    invs = np.linalg.inv(blocks).swapaxes(1, 2)
+    g = (a[:n] - 1.0)[:, None, None] * invs[:n] - (a[n] - 1.0) * invs[n]
+    return layout.grad_to_real(g.reshape(-1))
 
 
 # -- model I ------------------------------------------------------------------
@@ -277,13 +280,9 @@ def ellipticity_model1(params, d, sampler, n_samples=20):
         # null direction: test matrices Id on every component not containing
         # the last index, zero elsewhere
         last_comp = next(c for c in comps if n in c)
-        g = np.zeros(layout.n_entries, dtype=complex)
-        for p in range(n):
-            if p in last_comp:
-                continue
-            for i in range(d):
-                g[layout.entry_index(p, i, i)] = 1.0
-        witness = layout.grad_to_real(g)
+        g = np.zeros((n, d, d), dtype=complex)
+        g[[p for p in range(n) if p not in last_comp]] = np.eye(d)
+        witness = layout.grad_to_real(g.reshape(-1))
         return False, witness
     for _ in range(n_samples):
         point = sampler()
@@ -320,9 +319,6 @@ class Model2Params:
         self.B = B
         self.a = a
         self.d = d
-
-    def n_from(self, point):
-        return point.n
 
 
 def gamma_model2_entries(params, point):

@@ -217,11 +217,6 @@ class CplxLayout(Realifier):
         bot = np.hstack([Gzw.conj(), Gzz.conj()])
         return np.vstack([top, bot])
 
-    def split_entry_gamma(self, T):
-        """Inverse of assemble_entry_gamma: returns (Gzz, Gzw)."""
-        m = self.m
-        return np.asarray(T)[:m, :m], np.asarray(T)[:m, m:]
-
     def assemble_entry_drift(self, Lz):
         Lz = np.asarray(Lz, dtype=complex).ravel()
         return np.concatenate([Lz, Lz.conj()])

@@ -37,13 +37,13 @@ from .simplex import (
     laguerre_ambient, ou_warped_ambient, sample_dirichlet, sample_sphere,
     scalar_model, simplex_gamma_polys, sphere_ambient)
 from .sun import (
-    Partition, extract_Z, extraction_map, fields_image_entries, image_params,
-    lpq_field_list, sample_haar_extracted, sun_ambient, sun_brownian_step,
-    sun_layout, SUNState, group_distance, verify_casimir_image)
+    Partition, SUNState, extract_Z, fields_image_entries, group_distance,
+    image_params, lpq_field_list, sample_haar_extracted, sun_brownian_step,
+    verify_casimir_image)
 from .wishart import (
-    build_smz, closed_form_smz_system, matrix_ou_ambient,
-    sample_smz_frame, sample_wishart_family, smz_projection, theorem_params,
-    wishart_ambient, wishart_grad_log, wishart_layout)
+    closed_form_smz_system, matrix_ou_ambient, sample_smz_frame,
+    sample_wishart_family, smz_projection, theorem_params, wishart_ambient,
+    wishart_grad_log, wishart_layout)
 
 SUITE_NAMES = ("scalar", "model1", "model2", "sun", "wishart", "polar", "all")
 
@@ -91,6 +91,108 @@ def independence_check(S, x):
 
 # -- identity harnesses shared with the test suite ----------------------------
 
+def _tol(key, tol_g=TOL_GAMMA, tol_l=TOL_DRIFT):
+    """Drift keys (L_...) take the drift tolerance, the rest tol_g."""
+    return tol_l if key.startswith("L_") else tol_g
+
+
+# Rows (key, kind, a, b, half) of the frame tables.  The oracle's (a, b)
+# co-metric block, or its drift on segment a when b is None, is read as an
+# entry-space table ("entries") or in raw real coordinates ("raw") and
+# compared with the closed form under key.  A complex segment in rows
+# contributes only its entry rows, not their conjugates; half picks the
+# entry (":dd") or conjugate ("dd:") columns of a complex segment b.
+_SMZ_TABLE = [
+    ("gamma_SS", "entries", "S", "S", ""),
+    ("gamma_SW", "entries", "S", "W", ""),
+    ("gamma_NN", "entries", "N", "N", ""),
+    ("gamma_NW", "entries", "N", "W", ""),
+    ("gamma_NinvN", "entries", "Ninv", "N", ""),
+    ("gamma_NinvW", "entries", "Ninv", "W", ""),
+    ("gamma_NinvNinv", "entries", "Ninv", "Ninv", ""),
+    ("gamma_MM", "entries", "M", "M", ""),
+    ("gamma_MS", "entries", "M", "S", ""),
+    ("gamma_ZZ", "entries", "Z", "Z", ""),
+    ("gamma_lamlam", "raw", "lam", "lam", ""),
+    # zero cross blocks: zero in raw coordinates iff in entry space
+    ("gamma_Mlam", "raw", "M", "lam", ""),
+    ("gamma_Zlam", "raw", "Z", "lam", ""),
+    ("gamma_MU", "entries", "M", "U", ":dd"),
+    ("gamma_MUbar", "entries", "M", "U", "dd:"),
+    ("gamma_ZU", "entries", "Z", "U", ":dd"),
+    ("gamma_ZUbar", "entries", "Z", "U", "dd:"),
+    ("L_S", "entries", "S", None, ""),
+    ("L_N", "entries", "N", None, ""),
+    ("L_Ninv", "entries", "Ninv", None, ""),
+    ("L_M", "entries", "M", None, ""),
+    ("L_Z", "entries", "Z", None, ""),
+    ("L_lam", "raw", "lam", None, ""),
+]
+
+_POLAR_TABLE = [
+    ("gamma_HH", "entries", "H", "H", ""),
+    ("gamma_NN", "entries", "N", "N", ""),
+    ("gamma_lamlam", "raw", "lam", "lam", ""),
+    ("gamma_UU", "entries", "U", "U", ":dd"),
+    ("gamma_UUbar", "entries", "U", "U", "dd:"),
+    ("gamma_WW", "entries", "W", "W", ":dd"),
+    ("gamma_WWbar", "entries", "W", "W", "dd:"),
+    ("gamma_Ulam", "entries", "U", "lam", ""),
+    ("gamma_Wlam", "entries", "W", "lam", ""),
+    ("gamma_ZZ", "entries", "Z", "Z", ""),
+    ("gamma_Zlam", "entries", "Z", "lam", ""),
+    ("gamma_VV", "entries", "V", "V", ":dd"),
+    ("gamma_VVbar", "entries", "V", "V", "dd:"),
+    ("L_V", "entries", "V", None, ""),
+    ("L_H", "entries", "H", None, ""),
+    ("L_N", "entries", "N", None, ""),
+    ("L_lam", "raw", "lam", None, ""),
+    ("L_U", "entries", "U", None, ""),
+    ("L_W", "entries", "W", None, ""),
+    ("L_Z", "entries", "Z", None, ""),
+]
+
+# couplings stated at diagonal base points only
+_DIAGONAL_TABLE = [
+    ("gamma_UV", "entries", "U", "V", ":dd"),
+    ("gamma_UW", "entries", "U", "W", ":dd"),
+    ("gamma_VV", "entries", "V", "V", ":dd"),
+    ("gamma_VVbar", "entries", "V", "V", "dd:"),
+    ("gamma_VN", "entries", "V", "N", ""),
+    ("L_V", "entries", "V", None, ""),
+]
+
+
+def _check_table(frames, table, tol_g=TOL_GAMMA, tol_l=TOL_DRIFT):
+    """Worst |oracle - closed form| per table row over frames.
+
+    frames yields (ambient, F, stack, x, forms): the ambient model, the
+    projection and its coordinate stack, the ambient point and the closed
+    forms there.  Returns (worst, failures) as check_frame_identities.
+    """
+    worst = {}
+    for ambient, F, stack, x, forms in frames:
+        G = pushforward_gamma(ambient, F, x)
+        L = pushforward_generator(ambient, F, x)
+        for key, kind, a, b, half in table:
+            if b is None:
+                got = (stack.drift_entries(L, a) if kind == "entries"
+                       else np.asarray(L)[stack.slices[a]])
+            else:
+                got = (stack.entries_block(G, a, b) if kind == "entries"
+                       else stack.block(G, a, b))
+            if isinstance(stack.layouts[a], CplxLayout):
+                got = got[:stack.layouts[a].m]
+            if half:
+                m = stack.layouts[b].m
+                got = got[:, :m] if half == ":dd" else got[:, m:]
+            worst[key] = max(worst.get(key, 0.0),
+                             float(np.max(np.abs(got - forms[key]))))
+    failures = {key: val for key, val in worst.items()
+                if val > _tol(key, tol_g, tol_l)}
+    return worst, failures
+
+
 def check_frame_identities(d, dims, rng, n_frames, tol_g=TOL_GAMMA,
                            tol_l=TOL_DRIFT):
     """Pushforward oracle vs every Wishart eigenframe closed form.
@@ -98,58 +200,17 @@ def check_frame_identities(d, dims, rng, n_frames, tol_g=TOL_GAMMA,
     Returns (worst, failures): per-identity worst residuals over the
     sampled frames, and the subset above tolerance.
     """
-    n = len(dims) - 1
     ambient = wishart_ambient(d, [float(r) for r in dims])
-    worst = {}
+    layout = wishart_layout(len(dims), d)
 
-    def record(key, val):
-        worst[key] = max(worst.get(key, 0.0), float(val))
-
-    for _ in range(n_frames):
+    def frame():
         fam, fr = sample_smz_frame(d, dims, rng)
         F, stack = smz_projection(d, dims, base_frame=fr)
-        x = wishart_layout(n + 1, d).to_real(fam.W)
-        G = pushforward_gamma(ambient, F, x)
-        L = pushforward_generator(ambient, F, x)
-        sys = closed_form_smz_system(fr)
-        gamma_blocks = {
-            "gamma_SS": ("S", "S"), "gamma_SW": ("S", "W"),
-            "gamma_NN": ("N", "N"), "gamma_NW": ("N", "W"),
-            "gamma_NinvN": ("Ninv", "N"), "gamma_NinvW": ("Ninv", "W"),
-            "gamma_NinvNinv": ("Ninv", "Ninv"),
-            "gamma_MM": ("M", "M"), "gamma_MS": ("M", "S"),
-            "gamma_ZZ": ("Z", "Z"),
-        }
-        for key, (a, b) in gamma_blocks.items():
-            got = stack.entries_block(G, a, b)
-            record(key, np.max(np.abs(got - sys[key])))
-        record("gamma_lamlam",
-               np.max(np.abs(stack.block(G, "lam", "lam")
-                             - sys["gamma_lamlam"])))
-        record("gamma_Mlam", np.max(np.abs(
-            np.asarray(G)[stack.slices["M"], stack.slices["lam"]])))
-        record("gamma_Zlam", np.max(np.abs(
-            np.asarray(G)[stack.slices["Z"], stack.slices["lam"]])))
-        # U cross blocks: entry table columns are (U entries, conj entries)
-        dd = d * d
-        for key, seg in [("gamma_MU", "M"), ("gamma_ZU", "Z")]:
-            got = stack.entries_block(G, seg, "U")
-            record(key, np.max(np.abs(got[:, :dd] - sys[key])))
-            record(key + "bar",
-                   np.max(np.abs(got[:, dd:] - sys[key + "bar"])))
-        for key, seg in [("L_S", "S"), ("L_N", "N"), ("L_Ninv", "Ninv"),
-                         ("L_M", "M"), ("L_Z", "Z")]:
-            got = stack.drift_entries(L, seg)
-            record(key, np.max(np.abs(got - sys[key])))
-        record("L_lam",
-               np.max(np.abs(np.asarray(L)[stack.slices["lam"]]
-                             - sys["L_lam"])))
-    failures = {}
-    for key, val in worst.items():
-        tol = tol_l if key.startswith("L_") else tol_g
-        if val > tol:
-            failures[key] = val
-    return worst, failures
+        return (ambient, F, stack, layout.to_real(fam.W),
+                closed_form_smz_system(fr))
+
+    return _check_table((frame() for _ in range(n_frames)), _SMZ_TABLE,
+                        tol_g, tol_l)
 
 
 def check_polar_identities(d, rng, n_frames, tol_g=TOL_GAMMA, tol_l=TOL_DRIFT):
@@ -159,67 +220,33 @@ def check_polar_identities(d, rng, n_frames, tol_g=TOL_GAMMA, tol_l=TOL_DRIFT):
     """
     lay = CplxLayout(d * d, shape=(d, d))
     ambient = complex_bm_ambient(d)
-    dd = d * d
-    worst = {}
 
-    def record(key, val):
-        worst[key] = max(worst.get(key, 0.0), float(val))
-
-    for _ in range(n_frames):
+    def frame():
         m, fr = sample_polar_frame(d, rng)
         F, stack = polar_projection(d, base_frame=fr)
-        x = lay.to_real(m)
-        G = pushforward_gamma(ambient, F, x)
-        L = pushforward_generator(ambient, F, x)
-        sys = closed_form_polar_system(fr)
-        record("gamma_HH", np.max(np.abs(
-            stack.entries_block(G, "H", "H") - sys["gamma_HH"])))
-        record("gamma_NN", np.max(np.abs(
-            stack.entries_block(G, "N", "N") - sys["gamma_NN"])))
-        record("gamma_lamlam", np.max(np.abs(
-            stack.block(G, "lam", "lam") - sys["gamma_lamlam"])))
-        TU = stack.entries_block(G, "U", "U")
-        record("gamma_UU", np.max(np.abs(TU[:dd, :dd] - sys["gamma_UU"])))
-        record("gamma_UUbar", np.max(np.abs(TU[:dd, dd:]
-                                            - sys["gamma_UUbar"])))
-        TW = stack.entries_block(G, "W", "W")
-        record("gamma_WW", np.max(np.abs(TW[:dd, :dd] - sys["gamma_WW"])))
-        record("gamma_WWbar", np.max(np.abs(TW[:dd, dd:]
-                                            - sys["gamma_WWbar"])))
-        record("gamma_Ulam", np.max(np.abs(
-            stack.entries_block(G, "U", "lam")[:dd] - sys["gamma_Ulam"])))
-        record("gamma_Wlam", np.max(np.abs(
-            stack.entries_block(G, "W", "lam")[:dd] - sys["gamma_Wlam"])))
-        record("gamma_ZZ", np.max(np.abs(
-            stack.entries_block(G, "Z", "Z") - sys["gamma_ZZ"])))
-        record("gamma_Zlam", np.max(np.abs(
-            stack.entries_block(G, "Z", "lam") - sys["gamma_Zlam"])))
-        # V system at a general frame, through the invariance transport
-        tr = invariance_transport(diagonal_point_forms(fr.lam), fr.V, fr.U)
-        TV = stack.entries_block(G, "V", "V")
-        record("gamma_VV", np.max(np.abs(TV[:dd, :dd] - tr["gamma_VV"])))
-        record("gamma_VVbar", np.max(np.abs(TV[:dd, dd:]
-                                            - tr["gamma_VVbar"])))
-        record("L_V", np.max(np.abs(
-            stack.drift_entries(L, "V")[:dd] - tr["L_V"])))
-        record("L_H", np.max(np.abs(stack.drift_entries(L, "H")
-                                    - sys["L_H"])))
-        record("L_N", np.max(np.abs(stack.drift_entries(L, "N")
-                                    - sys["L_N"])))
-        record("L_lam", np.max(np.abs(np.asarray(L)[stack.slices["lam"]]
-                                      - sys["L_lam"])))
-        record("L_U", np.max(np.abs(stack.drift_entries(L, "U")[:dd]
-                                    - sys["L_U"])))
-        record("L_W", np.max(np.abs(stack.drift_entries(L, "W")[:dd]
-                                    - sys["L_W"])))
-        record("L_Z", np.max(np.abs(stack.drift_entries(L, "Z")
-                                    - sys["L_Z"])))
-    failures = {}
-    for key, val in worst.items():
-        tol = tol_l if key.startswith("L_") else tol_g
-        if val > tol:
-            failures[key] = val
-    return worst, failures
+        # the V system holds at a general frame through the invariance
+        # transport; every other key reads the polar closed forms
+        forms = {**invariance_transport(diagonal_point_forms(fr.lam),
+                                        fr.V, fr.U),
+                 **closed_form_polar_system(fr)}
+        return ambient, F, stack, lay.to_real(m), forms
+
+    return _check_table((frame() for _ in range(n_frames)), _POLAR_TABLE,
+                        tol_g, tol_l)
+
+
+def _boundary_residual(G, point, expect):
+    """max |Gamma(Z^(p), log det Z^(q)) - expect(q)[p]| over the free
+    blocks p and all n+1 blocks q, with G the model's real co-metric."""
+    n, d = point.n, point.d
+    layout = simplex_layout(n, d)
+    worst = 0.0
+    for q in range(n + 1):
+        # gradient of log det Z^(q): the log density with a = 1 + e_q
+        face = matrix_dirichlet_grad_log(1.0 + np.eye(n + 1)[q], point)
+        got = layout.drift_to_entries(G @ face).reshape(n, d, d)
+        worst = max(worst, float(np.max(np.abs(got - expect(q)))))
+    return worst
 
 
 def boundary_residual_model1(params, point):
@@ -229,84 +256,77 @@ def boundary_residual_model1(params, point):
     delta_pq sum_s 2 A_sp Z^(s)_ij - 2 A_pq Z^(p)_ij for q <= n, and
     -2 A_{n+1,p} Z^(p)_ij against the last block.
     """
-    n = params.n
-    d = point.d
-    layout = simplex_layout(n, d)
+    n, A = params.n, params.A
     blocks = point.all_blocks()
-    G = gamma_model1(params, point)
-    A = params.A
-    worst = 0.0
-    for q in range(n + 1):
-        inv = np.linalg.inv(blocks[q])
-        g = np.zeros(layout.n_entries, dtype=complex)
-        for p in range(n):
-            if p == q:
-                for i in range(d):
-                    for j in range(d):
-                        g[layout.entry_index(p, i, j)] = inv[j, i]
-            elif q == n:
-                for i in range(d):
-                    for j in range(d):
-                        g[layout.entry_index(p, i, j)] = -inv[j, i]
-        vec = layout.drift_to_entries(G @ layout.grad_to_real(g))
-        for p in range(n):
-            got = vec[p * d * d:(p + 1) * d * d].reshape(d, d)
-            if q < n:
-                expect = -2.0 * A[p, q] * blocks[p]
-                if p == q:
-                    expect = expect + sum(
-                        2.0 * A[s, p] * blocks[s] for s in range(n + 1))
-            else:
-                expect = -2.0 * A[n, p] * blocks[p]
-            worst = max(worst, float(np.max(np.abs(got - expect))))
-    return worst
+
+    def expect(q):
+        out = -2.0 * A[:n, q, None, None] * blocks[:n]
+        if q < n:
+            out[q] += (2.0 * A[:, q, None, None] * blocks).sum(axis=0)
+        return out
+
+    return _boundary_residual(gamma_model1(params, point), point, expect)
 
 
 def boundary_residual_model2(params, point):
     """Worst residual of the boundary identity of the second matrix model:
     Gamma(Z^(p)_ij, log det Z^(q)) = 2 delta_pq A - (A Z^(p) + Z^(p) A)
     for every block q (the entry coupling cancels identically)."""
-    d = point.d
-    n = point.n
-    layout = simplex_layout(n, d)
-    blocks = point.all_blocks()
-    G = gamma_model2(params, point)
     A = params.A
-    worst = 0.0
-    for q in range(n + 1):
-        inv = np.linalg.inv(blocks[q])
-        g = np.zeros(layout.n_entries, dtype=complex)
-        for p in range(n):
-            sgn = 1.0 if p == q else (-1.0 if q == n else 0.0)
-            if sgn != 0.0:
-                for i in range(d):
-                    for j in range(d):
-                        g[layout.entry_index(p, i, j)] = sgn * inv[j, i]
-        vec = layout.drift_to_entries(G @ layout.grad_to_real(g))
-        for p in range(n):
-            got = vec[p * d * d:(p + 1) * d * d].reshape(d, d)
-            expect = -(A @ blocks[p] + blocks[p] @ A)
-            if p == q:
-                expect = expect + 2.0 * A
-            np_worst = float(np.max(np.abs(got - expect)))
-            worst = max(worst, np_worst)
-    return worst
+    Z = point.Z
+
+    def expect(q):
+        out = -(A @ Z + Z @ A)
+        if q < point.n:
+            out[q] += 2.0 * A
+        return out
+
+    return _boundary_residual(gamma_model2(params, point), point, expect)
 
 
 # -- report plumbing ----------------------------------------------------------
 
 def _check(checks, check_id, residual, tol, n_samples):
+    """Append one check; a check run on no sample fails."""
     checks.append({"id": check_id, "paper_eq": None,
                    "n_samples": int(n_samples),
                    "max_abs_residual": float(residual), "tol": float(tol),
-                   "pass": bool(residual <= tol)})
+                   "pass": bool(residual <= tol and n_samples >= 1)})
 
 
-def _record_worst(checks, prefix, worst, n_samples,
-                  tol_g=TOL_GAMMA, tol_l=TOL_DRIFT):
-    for key in sorted(worst):
-        tol = tol_l if key.startswith("L_") else tol_g
-        _check(checks, prefix + key, worst[key], tol, n_samples)
+def _record_worst(checks, prefix, worsts, n_samples):
+    """One check per key: its worst residual over the dicts in worsts."""
+    for key in sorted(set().union(*worsts)):
+        _check(checks, prefix + key, max(w.get(key, 0.0) for w in worsts),
+               _tol(key), n_samples)
+
+
+def _image_check(checks, name, ambient, F, points, closed, relative=False,
+                 tol_g=TOL_GAMMA, tol_l=TOL_DRIFT):
+    """Checks name.gamma and name.L: the oracle's image co-metric and drift
+    at each ambient point x against closed(F(x)) = (Gamma, L), as
+    |oracle - closed|, divided by 1 + |closed| when relative."""
+    rg = rl = 0.0
+    for x in points:
+        eg, el = closed(F(x))
+        dg = np.abs(pushforward_gamma(ambient, F, x) - eg)
+        dl = np.abs(pushforward_generator(ambient, F, x) - el)
+        if relative:
+            dg, dl = dg / (1.0 + np.abs(eg)), dl / (1.0 + np.abs(el))
+        rg = max(rg, float(np.max(dg)))
+        rl = max(rl, float(np.max(dl)))
+    _check(checks, name + ".gamma", rg, tol_g, len(points))
+    _check(checks, name + ".L", rl, tol_l, len(points))
+
+
+def _reversibility_check(checks, check_id, model, grad_log, points):
+    """Check check_id: the worst reversibility residual of model against
+    the log-density gradient grad_log over points."""
+    res = 0.0
+    for x in points:
+        res = max(res, float(np.max(np.abs(
+            reversibility_residual(model, grad_log, x)))))
+    _check(checks, check_id, res, TOL_REVERSIBLE, len(points))
 
 
 # -- suites -------------------------------------------------------------------
@@ -319,75 +339,55 @@ def _suite_scalar(rng, samples):
     A = np.array([[0.0, 1.5, 0.7], [1.5, 0.0, 2.0], [0.7, 2.0, 0.0]])
     model, proj = sphere_ambient(sizes, A)
     params = ScalarModelParams(A, np.array(sizes) / 2.0)
-    rg = rl = 0.0
-    for _ in range(ns):
-        y = sample_sphere(sum(sizes), rng)
-        x = proj(y)
-        rg = max(rg, float(np.max(np.abs(
-            pushforward_gamma(model, proj, y) - gamma_simplex(params, x)))))
-        rl = max(rl, float(np.max(np.abs(
-            pushforward_generator(model, proj, y)
-            - drift_simplex(params, x)))))
-    _check(checks, "scalar.sphere_image.gamma", rg, TOL_GAMMA, ns)
-    _check(checks, "scalar.sphere_image.L", rl, TOL_DRIFT, ns)
+    _image_check(checks, "scalar.sphere_image", model, proj,
+                 [sample_sphere(sum(sizes), rng) for _ in range(ns)],
+                 lambda x: (gamma_simplex(params, x), drift_simplex(params, x)))
 
     # Laguerre construction: (S, z) coordinates of independent gamma-type
     # processes; residuals on the radial row are scaled by 1 + S
     a = np.array([2.0, 3.0, 1.5])
     abar = np.sum(a)
     model, proj = laguerre_ambient(a)
-    rg = rl = 0.0
-    for _ in range(ns):
-        y = rng.gamma(shape=a)
-        out = proj(y)
+
+    def laguerre_image(out):
         S, z = out[0], out[1:]
-        G = pushforward_gamma(model, proj, y)
-        eg = np.zeros_like(G)
+        eg = np.zeros((a.size, a.size))
         eg[0, 0] = S
         eg[1:, 1:] = (np.diag(z) - np.outer(z, z)) / S
-        rg = max(rg, float(np.max(np.abs(G - eg) / (1.0 + np.abs(eg)))))
-        L = pushforward_generator(model, proj, y)
-        el = np.concatenate([[abar - S], (a[:2] - abar * z) / S])
-        rl = max(rl, float(np.max(np.abs(L - el) / (1.0 + np.abs(el)))))
-    _check(checks, "scalar.laguerre_image.gamma", rg, TOL_GAMMA, ns)
-    _check(checks, "scalar.laguerre_image.L", rl, TOL_DRIFT, ns)
+        return eg, np.concatenate([[abar - S], (a[:2] - abar * z) / S])
+
+    _image_check(checks, "scalar.laguerre_image", model, proj,
+                 [rng.gamma(shape=a) for _ in range(ns)], laguerre_image,
+                 relative=True)
 
     # warped OU construction
     sizes = (2, 1, 1)
     N = sum(sizes)
     model, proj = ou_warped_ambient(sizes, A)
     params = ScalarModelParams(A, np.array(sizes) / 2.0)
-    rg = rl = 0.0
-    for _ in range(ns):
-        y = rng.standard_normal(N)
-        out = proj(y)
+
+    def ou_warped_image(out):
         S, z = out[0], out[1:]
-        G = pushforward_gamma(model, proj, y)
-        eg = np.zeros_like(G)
+        eg = np.zeros((len(sizes), len(sizes)))
         eg[0, 0] = 4.0 * S
         eg[1:, 1:] = gamma_simplex(params, z) / S
-        rg = max(rg, float(np.max(np.abs(G - eg) / (1.0 + np.abs(eg)))))
-        L = pushforward_generator(model, proj, y)
-        el = np.concatenate([[2.0 * N - 2.0 * S],
-                             drift_simplex(params, z) / S])
-        rl = max(rl, float(np.max(np.abs(L - el) / (1.0 + np.abs(el)))))
-    _check(checks, "scalar.ou_warped_image.gamma", rg, 1e-5, ns)
-    _check(checks, "scalar.ou_warped_image.L", rl, 1e-3, ns)
+        return eg, np.concatenate([[2.0 * N - 2.0 * S],
+                                   drift_simplex(params, z) / S])
+
+    _image_check(checks, "scalar.ou_warped_image", model, proj,
+                 [rng.standard_normal(N) for _ in range(ns)], ou_warped_image,
+                 relative=True, tol_g=1e-5, tol_l=1e-3)
 
     # reversibility of the simplex model against the Dirichlet density
     A2 = np.array([[0.0, 1.3, 0.6], [1.3, 0.0, 2.1], [0.6, 2.1, 0.0]])
     a2 = np.array([1.7, 0.9, 2.4])
-    model = scalar_model(ScalarModelParams(A2, a2))
-    res = 0.0
-    for _ in range(20):
-        x = sample_dirichlet(a2, rng, margin=5e-2)
-        res = max(res, float(np.max(np.abs(reversibility_residual(
-            model, lambda y: dirichlet_grad_log(a2, y), x)))))
-    _check(checks, "scalar.reversibility", res, TOL_REVERSIBLE, 20)
+    _reversibility_check(
+        checks, "scalar.reversibility", scalar_model(ScalarModelParams(A2, a2)),
+        lambda y: dirichlet_grad_log(a2, y),
+        [sample_dirichlet(a2, rng, margin=5e-2) for _ in range(20)])
 
     # exact boundary test: Gamma(x_i, P) divisible by P with affine quotient
-    fails = 0
-    cases = 0
+    oks = []
     for (Aint, n) in [([[0, 1, 1], [1, 0, 1], [1, 1, 0]], 2),
                       ([[0, 1, 2, 1], [1, 0, 1, 3],
                         [2, 1, 0, 1], [1, 3, 1, 0]], 3)]:
@@ -397,12 +397,9 @@ def _suite_scalar(rng, samples):
         for v in variables:
             last = last - MultiPoly.var(v, variables)
         faces.append(last)
-        for P in faces:
-            _, ok = check_boundary_affine_exact(table, P)
-            cases += 1
-            if not ok:
-                fails += 1
-    _check(checks, "scalar.boundary_exact", float(fails), 0.0, cases)
+        oks += [check_boundary_affine_exact(table, P)[1] for P in faces]
+    _check(checks, "scalar.boundary_exact", float(oks.count(False)), 0.0,
+           len(oks))
 
     # radial-angular independence of normalized gamma draws
     M = 20000
@@ -421,11 +418,8 @@ def _model2_fixture(rng, d, b_style):
         B = 0.4 * np.eye(d * d).reshape(d, d, d, d)
     else:
         y = rng.uniform(0.2, 1.0, (d, d))
-        y = 0.5 * (y + y.T)
-        B = np.zeros((d, d, d, d))
-        for i in range(d):
-            for j in range(d):
-                B[i, j, i, j] = y[i, j]
+        # B[i, j, i, j] = y_ij: the diagonal of the d^2 x d^2 matrix
+        B = np.diag(0.5 * (y + y.T).ravel()).reshape(d, d, d, d)
     return A, B
 
 
@@ -442,30 +436,21 @@ def _suite_model1(rng, samples):
     n, d = 2, 2
     a = np.array([1.6, 2.1, 1.3])
     mp = Model1Params(_random_A(rng, n + 1), a)
-    model = model1(mp, d)
-    res = 0.0
-    for _ in range(20):
-        p = sample_interior(n, d, rng, margin=1e-2)
-        res = max(res, float(np.max(np.abs(reversibility_residual(
-            model,
-            lambda x: matrix_dirichlet_grad_log(a, real_to_point(x, n, d)),
-            point_to_real(p))))))
-    _check(checks, "model1.reversibility", res, TOL_REVERSIBLE, 20)
-
-    res = 0.0
-    for _ in range(ns):
-        res = max(res, boundary_residual_model1(
-            mp, sample_interior(n, d, rng, margin=1e-3)))
+    _reversibility_check(
+        checks, "model1.reversibility", model1(mp, d),
+        lambda x: matrix_dirichlet_grad_log(a, real_to_point(x, n, d)),
+        [point_to_real(sample_interior(n, d, rng, margin=1e-2))
+         for _ in range(20)])
+    res = max(boundary_residual_model1(
+        mp, sample_interior(n, d, rng, margin=1e-3)) for _ in range(ns))
     _check(checks, "model1.boundary", res, TOL_REVERSIBLE, ns)
 
     # ellipticity: irreducible weights give a strictly positive co-metric
     ones = np.ones((n + 1, n + 1)) - np.eye(n + 1)
     mpe = Model1Params(ones, np.ones(n + 1))
     sampler = lambda: sample_interior(n, d, rng, margin=1e-3)
-    min_eig = np.inf
-    for _ in range(20):
-        w = np.linalg.eigvalsh(gamma_model1(mpe, sampler()))
-        min_eig = min(min_eig, float(w[0]))
+    min_eig = min(float(np.linalg.eigvalsh(gamma_model1(mpe, sampler()))[0])
+                  for _ in range(20))
     ok, _w = ellipticity_model1(mpe, d, sampler, n_samples=5)
     elliptic = ok and min_eig > 1e-12
     _check(checks, "model1.ellipticity_irreducible",
@@ -479,10 +464,8 @@ def _suite_model1(rng, samples):
     if ok or witness is None:
         _check(checks, "model1.ellipticity_reducible_null", 1.0, 1e-12, 5)
     else:
-        val = 0.0
-        for _ in range(ns):
-            val = max(val, abs(float(
-                witness @ gamma_model1(mpr, sampler()) @ witness)))
+        val = max(abs(float(witness @ gamma_model1(mpr, sampler()) @ witness))
+                  for _ in range(ns))
         _check(checks, "model1.ellipticity_reducible_null", val, 1e-12, ns)
     return checks
 
@@ -495,21 +478,13 @@ def _suite_model2(rng, samples):
     for style in ("identity", "diag"):
         A, B = _model2_fixture(rng, d, style)
         mp = Model2Params(A, B, a)
-        model = model2(mp, n)
-        res = 0.0
-        for _ in range(max(ns, 10)):
-            p = sample_interior(n, d, rng, margin=1e-2)
-            res = max(res, float(np.max(np.abs(reversibility_residual(
-                model,
-                lambda x: matrix_dirichlet_grad_log(
-                    a, real_to_point(x, n, d)),
-                point_to_real(p))))))
-        _check(checks, "model2.reversibility." + style, res,
-               TOL_REVERSIBLE, max(ns, 10))
-        res = 0.0
-        for _ in range(ns):
-            res = max(res, boundary_residual_model2(
-                mp, sample_interior(n, d, rng, margin=1e-3)))
+        _reversibility_check(
+            checks, "model2.reversibility." + style, model2(mp, n),
+            lambda x: matrix_dirichlet_grad_log(a, real_to_point(x, n, d)),
+            [point_to_real(sample_interior(n, d, rng, margin=1e-2))
+             for _ in range(max(ns, 10))])
+        res = max(boundary_residual_model2(
+            mp, sample_interior(n, d, rng, margin=1e-3)) for _ in range(ns))
         _check(checks, "model2.boundary." + style, res, TOL_REVERSIBLE, ns)
         # symmetry of the entry table
         T = gamma_model2_entries(mp, sample_interior(n, d, rng))
@@ -551,13 +526,9 @@ def _suite_sun(rng, samples):
     # first moment of the Haar image: E[Z^(1)] = (d_1/N) Id
     part = Partition(2, [2, 2])
     M = 2000
-    acc = np.zeros((2, 2), dtype=complex)
-    sq = 0.0
     vals = np.empty(M)
     for m in range(M):
-        Z = sample_haar_extracted(4, part, rng).Z[0]
-        acc += Z
-        vals[m] = Z[0, 0].real
+        vals[m] = sample_haar_extracted(4, part, rng).Z[0][0, 0].real
     se = np.std(vals) / np.sqrt(M)
     rep = moment_test(np.mean(vals), se, 0.5, 1e-12)
     _check(checks, "sun.haar_first_moment", rep["max_abs_z"], 3.0, M)
@@ -567,49 +538,32 @@ def _suite_sun(rng, samples):
 def _suite_wishart(rng, samples):
     checks = []
     frames = {(2, (3, 3)): 4, (2, (3, 4, 3)): 2, (3, (4, 4)): 2}
-    worst = {}
-    total = 0
-    for (d, dims), nf in frames.items():
-        nf = samples or nf
-        total += nf
-        w, _ = check_frame_identities(d, list(dims), rng, nf)
-        for key, val in w.items():
-            worst[key] = max(worst.get(key, 0.0), val)
-    _record_worst(checks, "wishart.", worst, total)
+    worsts = [check_frame_identities(d, list(dims), rng, samples or nf)[0]
+              for (d, dims), nf in frames.items()]
+    _record_worst(checks, "wishart.", worsts,
+                  sum(samples or nf for nf in frames.values()))
 
     # reversibility of the ambient Wishart model
     d, dims = 2, [3.0, 3.0]
-    model = wishart_ambient(d, dims)
     layout = wishart_layout(2, d)
-    res = 0.0
-    done = 0
-    while done < 10:
+    points = []
+    while len(points) < 10:
         fam = sample_wishart_family(d, dims, rng)
-        if min(np.min(np.linalg.eigvalsh(W)) for W in fam.W) < 0.1:
-            continue
-        res = max(res, float(np.max(np.abs(reversibility_residual(
-            model,
-            lambda x: wishart_grad_log(dims, layout.from_real(x)),
-            layout.to_real(fam.W))))))
-        done += 1
-    _check(checks, "wishart.reversibility", res, TOL_REVERSIBLE, done)
+        if min(np.min(np.linalg.eigvalsh(W)) for W in fam.W) >= 0.1:
+            points.append(layout.to_real(fam.W))
+    _reversibility_check(
+        checks, "wishart.reversibility", wishart_ambient(d, dims),
+        lambda x: wishart_grad_log(dims, layout.from_real(x)), points)
 
     # the Gram map of matrix OU carries its model onto the Wishart model
     d, mcol = 2, 3
     amb, proj, ylay = matrix_ou_ambient(d, mcol)
     wmodel = wishart_ambient(d, [float(mcol)])
-    rg = rl = 0.0
-    for _ in range(5):
-        Y = rng.standard_normal((d, mcol)) + 1j * rng.standard_normal(
-            (d, mcol))
-        x = ylay.to_real(Y)
-        w = proj(x)
-        rg = max(rg, float(np.max(np.abs(
-            pushforward_gamma(amb, proj, x) - wmodel.gamma(w)))))
-        rl = max(rl, float(np.max(np.abs(
-            pushforward_generator(amb, proj, x) - wmodel.drift(w)))))
-    _check(checks, "wishart.gram_image.gamma", rg, TOL_GAMMA, 5)
-    _check(checks, "wishart.gram_image.L", rl, TOL_DRIFT, 5)
+    Ys = [rng.standard_normal((d, mcol)) + 1j * rng.standard_normal((d, mcol))
+          for _ in range(5)]
+    _image_check(checks, "wishart.gram_image", amb, proj,
+                 [ylay.to_real(Y) for Y in Ys],
+                 lambda w: (wmodel.gamma(w), wmodel.drift(w)))
 
     # theorem parameters reproduce the closed Z system algebraically
     res = 0.0
@@ -643,42 +597,25 @@ def _suite_wishart(rng, samples):
 
 def _suite_polar(rng, samples):
     checks = []
-    worst = {}
-    total = 0
-    for d, nf in [(2, 4), (3, 2)]:
-        nf = samples or nf
-        total += nf
-        w, _ = check_polar_identities(d, rng, nf)
-        for key, val in w.items():
-            worst[key] = max(worst.get(key, 0.0), val)
-    _record_worst(checks, "polar.", worst, total)
+    frames = {2: 4, 3: 2}
+    worsts = [check_polar_identities(d, rng, samples or nf)[0]
+              for d, nf in frames.items()]
+    _record_worst(checks, "polar.", worsts,
+                  sum(samples or nf for nf in frames.values()))
 
-    # couplings stated at diagonal base points only
-    rg = rl = 0.0
-    for xs in (np.array([0.9, 1.8]), np.array([0.8, 1.5, 2.4])):
-        d = xs.size
-        fr0 = PolarFrame(np.diag(xs).astype(complex))
-        F, stack = polar_projection(d, base_frame=fr0)
-        lay = CplxLayout(d * d, shape=(d, d))
-        ambient = complex_bm_ambient(d)
-        x = lay.to_real(np.diag(xs).astype(complex))
-        G = pushforward_gamma(ambient, F, x)
-        L = pushforward_generator(ambient, F, x)
-        base = diagonal_point_forms(xs)
-        dd = d * d
-        for pair, key in ((("U", "V"), "gamma_UV"),
-                          (("U", "W"), "gamma_UW"),
-                          (("V", "V"), "gamma_VV")):
-            T = stack.entries_block(G, pair[0], pair[1])
-            rg = max(rg, float(np.max(np.abs(T[:dd, :dd] - base[key]))))
-        TVV = stack.entries_block(G, "V", "V")
-        rg = max(rg, float(np.max(np.abs(TVV[:dd, dd:]
-                                         - base["gamma_VVbar"]))))
-        TVN = stack.entries_block(G, "V", "N")
-        rg = max(rg, float(np.max(np.abs(TVN[:dd, :] - base["gamma_VN"]))))
-        rl = max(rl, float(np.max(np.abs(
-            stack.drift_entries(L, "V")[:dd] - base["L_V"]))))
-    _check(checks, "polar.diagonal_couplings.gamma", rg, TOL_GAMMA, 2)
+    def diagonal_frames():
+        for xs in (np.array([0.9, 1.8]), np.array([0.8, 1.5, 2.4])):
+            d = xs.size
+            m = np.diag(xs).astype(complex)
+            F, stack = polar_projection(d, base_frame=PolarFrame(m))
+            yield (complex_bm_ambient(d), F, stack,
+                   CplxLayout(d * d, shape=(d, d)).to_real(m),
+                   diagonal_point_forms(xs))
+
+    worst, _ = _check_table(diagonal_frames(), _DIAGONAL_TABLE)
+    rl = worst.pop("L_V")
+    _check(checks, "polar.diagonal_couplings.gamma", max(worst.values()),
+           TOL_GAMMA, 2)
     _check(checks, "polar.diagonal_couplings.L", rl, TOL_DRIFT, 2)
 
     # rank-one projector system equals the first matrix model template
@@ -706,14 +643,11 @@ def _suite_polar(rng, samples):
         return scalar_projection_v(frame)
 
     proj = ProjectionMap(lay.real_dim, d - 1, Fv, name="v-projection")
-    x = lay.to_real(m)
     v = scalar_projection_v(fr)
-    rg = float(np.max(np.abs(pushforward_gamma(ambient, proj, x)
-                             - gamma_simplex(params, v))))
-    rl = float(np.max(np.abs(pushforward_generator(ambient, proj, x)
-                             - drift_simplex(params, v))))
-    _check(checks, "polar.scalar_projection.gamma", rg, TOL_GAMMA, 1)
-    _check(checks, "polar.scalar_projection.L", rl, TOL_DRIFT, 1)
+    # the closed forms are taken at the frame's own v, not at Fv(x)
+    _image_check(checks, "polar.scalar_projection", ambient, proj,
+                 [lay.to_real(m)],
+                 lambda _: (gamma_simplex(params, v), drift_simplex(params, v)))
     return checks
 
 
@@ -727,6 +661,8 @@ def run_suite(suite, seed=0, samples=None):
     if suite not in SUITE_NAMES:
         raise ValueError("unknown suite %r (choose from %s)"
                          % (suite, ", ".join(SUITE_NAMES)))
+    if samples is not None and samples < 1:
+        raise ValueError("samples must be at least 1, got %r" % (samples,))
     names = list(_SUITES) if suite == "all" else [suite]
     checks = []
     for name in names:

@@ -20,11 +20,11 @@ the generic pushforward engine can verify each one.
 import numpy as np
 
 from .calculus import DiffusionModel, ProjectionMap
-from .errors import (
-    DomainError, MatrixDirichletError, NotPsdError, StepRejectedError)
-from .linalg import hermitian_eigen, sqrtm_psd
-from .matrix_simplex import (
-    MatrixSimplexPoint, Model2Params, log_gamma_d, simplex_layout)
+from .errors import DomainError, MatrixDirichletError, NotPsdError
+from .linalg import hermitian_eigen
+from .matrix_simplex import (  # noqa: F401 (the direct sampler is re-exported)
+    MatrixSimplexPoint, Model2Params, _ginibre_squares, log_gamma_d,
+    sample_matrix_dirichlet_direct, simplex_layout)
 from .realify import CoordStack, CplxLayout, HermLayout, RealLayout
 
 
@@ -138,38 +138,10 @@ def wishart_grad_log(dims, W_list):
     return layout.grad_to_real(g)
 
 
-def wishart_sde_step(W, alpha, beta, dt, rng, max_retries=8):
-    """Euler step of dW = sqrt(W) dB + dB* sqrt(W) + (alpha W + beta Id) dt.
-
-    The complex noise increments have real and imaginary parts of variance
-    2 dt each, matching the no-1/2 generator convention (one-step covariance
-    2 Gamma dt).  Proposals leaving the psd cone are resampled.
-    """
-    W = np.asarray(W, dtype=complex)
-    d = W.shape[0]
-    if dt == 0.0:
-        return W.copy()
-    root = sqrtm_psd(W)
-    det_part = W + (alpha * W + beta * np.eye(d)) * dt
-    for _ in range(max_retries):
-        dB = np.sqrt(2.0 * dt) * (rng.standard_normal((d, d))
-                                  + 1j * rng.standard_normal((d, d)))
-        prop = det_part + root @ dB + dB.conj().T @ root
-        prop = 0.5 * (prop + prop.conj().T)
-        if np.min(np.linalg.eigvalsh(prop)) >= 0.0:
-            return prop
-    raise StepRejectedError(W, prop)
-
-
 def sample_wishart_family(d, dims, rng):
     """Stationary draw: W^(p) = G G* with standard complex Ginibre columns
     (entry variance 2, matching the exp(-tr W / 2) reversible law)."""
-    Ws = []
-    for r in dims:
-        r = int(r)
-        G = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
-        Ws.append(G @ G.conj().T)
-    return WishartFamily(Ws, dims, check=False)
+    return WishartFamily(_ginibre_squares(d, dims, rng), dims, check=False)
 
 
 # -- the (S, lambda, N, M, U, Z) frame ----------------------------------------
@@ -536,18 +508,6 @@ def sm_operator(frame):
         "L_M": system["L_M"],
         "params": Model2Params(A, B, a),
     }
-
-
-def sample_matrix_dirichlet_direct(d, dims, rng):
-    """Exact matrix Dirichlet draw with a_p = d_p - d + 1 via Wishart ratios."""
-    Ws = sample_wishart_family(d, dims, rng).W
-    T = sum(Ws)
-    Tis = np.linalg.inv(sqrtm_psd(T))
-    Zs = []
-    for W in Ws[:-1]:
-        Z = Tis @ W @ Tis
-        Zs.append(0.5 * (Z + Z.conj().T))
-    return MatrixSimplexPoint(Zs, check=False)
 
 
 def sample_smz_frame(d, dims, rng, gap_min=0.25, pivot_min=0.05,

@@ -12,7 +12,7 @@ from matrix_dirichlet.linalg import hermitian_eigen
 from matrix_dirichlet.matrix_simplex import (
     MatrixSimplexPoint, Model1Params, Model2Params, ellipticity_model1,
     gamma_model1, matrix_dirichlet_grad_log, model1, model2, point_to_real,
-    real_to_point, sample_interior, simplex_layout, sylvester_spectrum)
+    real_to_point, sample_interior, sylvester_spectrum)
 from matrix_dirichlet.poly import MultiPoly, check_boundary_affine_exact
 from matrix_dirichlet.realify import HermLayout
 from matrix_dirichlet.sde import (
@@ -206,22 +206,15 @@ def test_criterion_4_boundary():
         for p in pts:
             closed = max(closed, residual_fn(params, p))
         # affinity of the sampled values, per face polynomial
-        layout = simplex_layout(n, d)
         for q in range(n + 1):
             X = np.empty((npts, mod.dim + 1))
             Y = np.empty((npts, mod.dim))
             for s, p in enumerate(pts):
                 x = point_to_real(p)
-                inv = np.linalg.inv(p.all_blocks()[q])
-                g = np.zeros(layout.n_entries, dtype=complex)
-                for k in range(n):
-                    if k == q or q == n:
-                        sgn = 1.0 if k == q else -1.0
-                        for i in range(d):
-                            for j in range(d):
-                                g[layout.entry_index(k, i, j)] = sgn * inv[j, i]
+                # gradient of log det Z^(q): the log density with a = 1 + e_q
+                face = matrix_dirichlet_grad_log(1.0 + np.eye(n + 1)[q], p)
                 X[s] = np.concatenate([[1.0], x])
-                Y[s] = np.asarray(mod.gamma(x)) @ layout.grad_to_real(g)
+                Y[s] = np.asarray(mod.gamma(x)) @ face
             coef, _, _, _ = np.linalg.lstsq(X, Y, rcond=None)
             fit_res = max(fit_res, float(np.max(np.abs(X @ coef - Y))))
     ok = ok and closed < 1e-8 and fit_res < 1e-8

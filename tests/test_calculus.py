@@ -138,3 +138,25 @@ def test_boundary_affine_rank_deficient(rng):
     with pytest.raises(RankDeficientFit):
         check_boundary_affine_numeric(model, lambda x: x[0],
                                       lambda: np.array([0.5]), n_samples=2)
+
+
+def test_check_identity_worst_index_follows_failing_half():
+    # Gamma is exact; the drift closed form is wrong at sample 3 only
+    amb = DiffusionModel(2, lambda x: np.diag(1.0 + x ** 2), lambda x: -x)
+    F = ProjectionMap(2, 2, lambda x: x ** 3)
+    points = [np.array([0.1 * s + 0.2, 0.5 - 0.05 * s]) for s in range(6)]
+    draws = iter(points)
+
+    def closed_gamma(x):
+        return np.diag(9.0 * x ** 4 * (1.0 + x ** 2))
+
+    def closed_drift(x):
+        exact = -3.0 * x ** 3 + 6.0 * x * (1.0 + x ** 2)
+        return exact + (0.5 if np.array_equal(x, points[3]) else 0.0)
+
+    rep = check_identity(amb, F, closed_gamma, closed_drift,
+                         lambda: next(draws), n_samples=6)
+    assert not rep.passed
+    assert rep.details["gamma"]["pass"] and not rep.details["drift"]["pass"]
+    assert rep.details["drift"]["worst_index"] == 3
+    assert rep.worst_index == 3

@@ -132,6 +132,26 @@ def test_grad_log_density_matches_numeric(rng):
     np.testing.assert_allclose(grad, num, atol=1e-5, rtol=1e-5)
 
 
+@pytest.mark.parametrize("n, d", [(1, 1), (1, 2), (2, 2), (2, 3), (3, 2)])
+def test_grad_log_matches_entry_loop(n, d, rng):
+    # reference: one entry at a time, (a_p - 1) Z_p^-T - (a_last - 1) Z_last^-T;
+    # a = 1 + e_q gives the face gradient of log det Z^(q)
+    layout = simplex_layout(n, d)
+    p = sample_interior(n, d, rng, margin=1e-3)
+    invs = [np.linalg.inv(Z) for Z in p.all_blocks()]
+    exponents = [rng.uniform(0.5, 3.0, n + 1)] + list(1.0 + np.eye(n + 1))
+    for a in exponents:
+        g = np.zeros(layout.n_entries, dtype=complex)
+        for k in range(n):
+            for i in range(d):
+                for j in range(d):
+                    g[layout.entry_index(k, i, j)] = (
+                        (a[k] - 1.0) * invs[k][j, i]
+                        - (a[n] - 1.0) * invs[n][j, i])
+        np.testing.assert_array_equal(matrix_dirichlet_grad_log(a, p),
+                                      layout.grad_to_real(g))
+
+
 # -- model I ------------------------------------------------------------------
 
 def test_model1_d1_reduction(rng):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from matrix_dirichlet.verify import (
-    SUITE_NAMES, format_report, independence_check, moment_test, run_suite)
+    SUITE_NAMES, _check, format_report, independence_check, moment_test,
+    run_suite)
 
 
 def test_moment_test_basic():
@@ -66,3 +67,25 @@ def test_scalar_suite_and_report_lines():
     assert len(lines) == len(rep["checks"]) + 1
     assert all(l.startswith("PASS") for l in lines[:-1])
     assert lines[-1].endswith("PASS")
+
+
+@pytest.mark.parametrize("samples", [-1, 0])
+def test_run_suite_rejects_non_positive_samples(samples):
+    # a suite run on no sample must not report passing checks
+    with pytest.raises(ValueError):
+        run_suite("polar", seed=0, samples=samples)
+
+
+def test_run_suite_one_sample_keeps_every_check():
+    default = run_suite("all", seed=0)
+    one = run_suite("all", seed=0, samples=1)
+    ids = [c["id"] for c in default["checks"]]
+    assert len(ids) == 77 and len(set(ids)) == 77
+    assert [c["id"] for c in one["checks"]] == ids
+    assert all(c["n_samples"] >= 1 for c in one["checks"])
+
+
+def test_check_on_no_sample_fails():
+    checks = []
+    _check(checks, "empty", 0.0, 1.0, 0)
+    assert not checks[0]["pass"]

@@ -9,13 +9,13 @@ from matrix_dirichlet.errors import DomainError
 from matrix_dirichlet.matrix_simplex import (
     drift_model2_entries, gamma_model2_entries)
 from matrix_dirichlet.realify import HermLayout
+from matrix_dirichlet.sde import em_step
 from matrix_dirichlet.verify import check_frame_identities
 from matrix_dirichlet.wishart import (
     SMZFrame, WishartFamily, build_smz, closed_form_smz_system,
     matrix_ou_ambient, sample_matrix_dirichlet_direct, sample_smz_frame,
     sample_wishart_family, sm_operator, smz_projection, theorem_params,
-    wishart_ambient, wishart_grad_log, wishart_layout, wishart_log_density,
-    wishart_sde_step)
+    wishart_ambient, wishart_grad_log, wishart_layout, wishart_log_density)
 
 
 def test_ambient_hand_values():
@@ -79,16 +79,28 @@ def test_reversibility(rng):
         assert np.max(np.abs(res)) < 1e-8
 
 
+# dW = sqrt(W) dB + dB* sqrt(W) + (alpha W + beta Id) dt with alpha = -2,
+# beta = 12 is the Wishart model with dimension parameter beta / 4
+_SDE_MODEL = wishart_ambient(2, [3.0])
+_SDE_LAYOUT = wishart_layout(1, 2)
+
+
+def _wishart_em_step(W, dt, rng):
+    """One generic Euler-Maruyama step of the 2 x 2 Wishart SDE from W."""
+    x = em_step(_SDE_MODEL, _SDE_LAYOUT.to_real([W]), dt, rng)
+    return _SDE_LAYOUT.from_real(x)[0]
+
+
 def test_sde_step_basics(rng):
     W = np.array([[2.0, 0.3 + 0.1j], [0.3 - 0.1j, 1.5]])
-    same = wishart_sde_step(W, -2.0, 12.0, 0.0, rng)
+    same = _wishart_em_step(W, 0.0, rng)
     np.testing.assert_allclose(same, W)
     # deterministic part: mean displacement is (alpha W + beta Id) dt
     dt = 1e-3
     M = 20000
     acc = np.zeros_like(W)
     for _ in range(M):
-        acc += wishart_sde_step(W, -2.0, 12.0, dt, rng) - W
+        acc += _wishart_em_step(W, dt, rng) - W
     mean = acc / M
     expect = (-2.0 * W + 12.0 * np.eye(2)) * dt
     # noise std per entry is about sqrt(8 dt); 3 standard errors
@@ -101,8 +113,7 @@ def test_sde_one_step_variance(rng):
     vals = np.empty(M)
     W = np.eye(2, dtype=complex)
     for m in range(M):
-        vals[m] = (wishart_sde_step(W, -2.0, 12.0, dt, rng)[0, 0].real
-                   - 1.0)
+        vals[m] = _wishart_em_step(W, dt, rng)[0, 0].real - 1.0
     assert abs(np.var(vals) - 8.0 * dt) < 0.05 * 8.0 * dt
 
 
