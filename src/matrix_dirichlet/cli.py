@@ -51,8 +51,8 @@ def _layout_names(n, d):
 
 
 def _cmd_simulate(args, parser):
-    if args.dt <= 0:
-        parser.error("dt must be positive")
+    if not 0 < args.dt < np.inf:
+        parser.error("dt must be positive and finite")
     try:
         with open(args.model) as fh:
             params, n, d = params_from_json(json.load(fh))
@@ -124,16 +124,23 @@ def _cmd_sample(args, parser):
     return 0
 
 
-def _positive_int(text):
-    """argparse type: an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            "%r is not an integer" % text) from None
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1, got %d" % value)
-    return value
+def _int_at_least(minimum):
+    """argparse type: an integer >= minimum."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                "%r is not an integer" % text) from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                "must be >= %d, got %d" % (minimum, value))
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_seed = _int_at_least(0)  # Philox takes any non-negative integer key
 
 
 def _positive_int_list(text):
@@ -151,7 +158,7 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run an identity suite")
     p.add_argument("--suite", required=True, choices=SUITE_NAMES)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--samples", type=_positive_int, default=None,
                    help="points/frames per identity (default per suite)")
     p.add_argument("--out", default=None, help="write the JSON report here")
@@ -166,7 +173,7 @@ def build_parser():
     p.add_argument("--steps", type=_positive_int, required=True)
     p.add_argument("--thin", type=_positive_int, default=1)
     p.add_argument("--burn-in", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True, help="CSV path output")
 
     p = sub.add_parser("sample", help="draw from the stationary law")
@@ -176,7 +183,7 @@ def build_parser():
                    help="comma-separated Wishart degrees d1,..,dk")
     p.add_argument("--n", type=_positive_int, required=True,
                    help="number of draws")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True, help="CSV output")
     return parser
 

@@ -13,7 +13,8 @@ from .errors import NotPsdError, SingularError, SpectralGapError
 
 
 def _hermitize(A):
-    return 0.5 * (A + A.conj().T)
+    """Hermitian part of a matrix or of each matrix in a stack."""
+    return 0.5 * (A + A.conj().swapaxes(-1, -2))
 
 
 def _jacobi_eigh(H, tol_factor=1e-14, max_sweeps=60):
@@ -85,6 +86,12 @@ def _fix_phases(U):
     return U
 
 
+def _align_phases(U, base_U):
+    """Rotate each column of U so that (base_U* U)_rr is real positive."""
+    ph = np.diag(base_U.conj().T @ U)
+    return U * (ph.conj() / np.abs(ph))[None, :]
+
+
 class EigenFrame:
     """Eigen-decomposition with deterministic ordering and phases.
 
@@ -101,9 +108,10 @@ class EigenFrame:
 
     @property
     def projectors(self):
-        """Rank-one spectral projectors V^(p)_ij = U_ip conj(U_jp)."""
-        return [np.outer(self.U[:, p], self.U[:, p].conj())
-                for p in range(self.d)]
+        """Rank-one spectral projectors V^(p)_ij = U_ip conj(U_jp), as one
+        (d, d, d) array indexed [p, i, j]."""
+        cols = self.U.T
+        return cols[:, :, None] * cols.conj()[:, None, :]
 
     def matrix(self):
         return _hermitize(self.U @ np.diag(self.lambdas ** self.power)
@@ -150,14 +158,11 @@ def hermitian_eigen(H, gap_tol=1e-8, method="jacobi"):
     return frame
 
 
-def sqrtm_psd(S, method="lapack"):
+def sqrtm_psd(S):
     """Hermitian square root of a positive semi-definite Hermitian matrix."""
     S = np.asarray(S, dtype=complex)
     scale = max(np.linalg.norm(S), 1.0)
-    if method == "jacobi":
-        w, U = _jacobi_eigh(S)
-    else:
-        w, U = np.linalg.eigh(S)
+    w, U = np.linalg.eigh(S)
     if np.min(w) < -1e-10 * scale:
         raise NotPsdError("matrix is not psd (min eigenvalue %.3e)" % np.min(w))
     w = np.clip(w, 0.0, None)

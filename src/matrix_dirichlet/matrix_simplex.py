@@ -21,6 +21,7 @@ Both admit the matrix Dirichlet measure with parameter a as reversible law.
 import functools
 
 import numpy as np
+from scipy.linalg import block_diag
 from scipy.special import gammaln
 
 from .calculus import DiffusionModel
@@ -86,8 +87,12 @@ def in_matrix_simplex(x, n, d, margin=1e-12):
     array [Z_1 .. Z_n, Id - sum Z] - margin * Id: x is inside when each
     block has all eigenvalues above margin.  Points whose smallest block
     eigenvalue lies within roundoff of margin may go either way.  A
-    negative margin admits points that far outside the simplex.
+    negative margin admits points that far outside the simplex.  A point
+    with a NaN or infinite coordinate is outside (Cholesky does not raise
+    on NaN).
     """
+    if not np.isfinite(x).all():
+        return False
     S = MatrixSimplexPoint(simplex_layout(n, d).from_real(x),
                            check=False).all_blocks()
     S -= margin * _identity(d)
@@ -100,12 +105,12 @@ def in_matrix_simplex(x, n, d, margin=1e-12):
 
 def _ginibre_squares(d, dims, rng):
     """G G* for one standard complex Ginibre d x r matrix G per r in dims
-    (entry variance 2): independent complex Wishart blocks."""
-    out = []
-    for r in dims:
+    (entry variance 2): independent complex Wishart blocks, stacked."""
+    out = np.empty((len(dims), d, d), dtype=complex)
+    for p, r in enumerate(dims):
         r = int(r)
         G = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
-        out.append(G @ G.conj().T)
+        out[p] = G @ G.conj().T
     return out
 
 
@@ -113,7 +118,7 @@ def sample_matrix_dirichlet_direct(d, dims, rng):
     """Exact matrix Dirichlet draw with a_p = d_p - d + 1 via Wishart ratios."""
     Ws = _ginibre_squares(d, dims, rng)
     Tis = np.linalg.inv(sqrtm_psd(sum(Ws)))
-    Z = Tis @ np.array(Ws[:-1]) @ Tis
+    Z = Tis @ Ws[:-1] @ Tis
     return MatrixSimplexPoint(0.5 * (Z + Z.conj().swapaxes(1, 2)), check=False)
 
 
@@ -399,16 +404,10 @@ def sylvester_spectrum(point):
     Z^(n+1).  Returns the eigenvalues ascending.
     """
     n, d = point.n, point.d
-    for Z in point.Z:
-        if np.min(np.linalg.eigvalsh(Z)) <= 0:
-            raise DomainError("blocks must be positive definite")
-    big = np.zeros((n * d, n * d), dtype=complex)
-    Y = np.zeros((n * d, d), dtype=complex)
-    for p, Z in enumerate(point.Z):
-        big[p * d:(p + 1) * d, p * d:(p + 1) * d] = Z
-        Y[p * d:(p + 1) * d, :] = Z
-    Zis = np.linalg.inv(sqrtm_psd(big))
-    C = Zis @ Y
+    if np.min(np.linalg.eigvalsh(point.Z)) <= 0:
+        raise DomainError("blocks must be positive definite")
+    Zis = np.linalg.inv(sqrtm_psd(block_diag(*point.Z)))
+    C = Zis @ point.Z.reshape(n * d, d)
     M = np.eye(n * d) - C @ C.conj().T
     return np.linalg.eigvalsh(M)
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .calculus import DiffusionModel, ProjectionMap
 from .errors import MatrixDirichletError, SingularError
-from .linalg import _hermitize, hermitian_eigen
+from .linalg import _align_phases, _hermitize, hermitian_eigen
 from .realify import CoordStack, CplxLayout, HermLayout, RealLayout
 from .simplex import ScalarModelParams
 
@@ -35,14 +35,15 @@ class PolarFrame:
 
     Holds m, V, N, H = m* m, the spectral radii lam (ascending), the
     phase-fixed eigenvector unitary U, W = V U and the rank-one
-    projectors Z (all d of them; the last is implied by the first d-1).
+    projectors Z, a (d, d, d) array (all d of them; the last is implied by
+    the first d-1).
     """
 
-    def __init__(self, m, gap_tol=1e-8, check=True, eig_method="lapack"):
+    def __init__(self, m, gap_tol=1e-8, check=True):
         m = np.asarray(m, dtype=complex)
         d = m.shape[0]
         H = m.conj().T @ m
-        eig = hermitian_eigen(H, gap_tol=gap_tol, method=eig_method)
+        eig = hermitian_eigen(H, gap_tol=gap_tol, method="lapack")
         scale = max(float(np.max(eig.lambdas)), 1.0)
         if float(np.min(eig.lambdas)) < 1e-12 * scale:
             raise SingularError(
@@ -61,7 +62,7 @@ class PolarFrame:
         if check:
             if np.max(np.abs(self.V @ self.N - m)) > 1e-10 * scale:
                 raise SingularError("polar reconstruction failed")
-            if np.max(np.abs(sum(self.Z) - np.eye(d))) > 1e-10:
+            if np.max(np.abs(self.Z.sum(axis=0) - np.eye(d))) > 1e-10:
                 raise SingularError("projectors do not resolve the identity")
 
 
@@ -112,10 +113,7 @@ def polar_projection(d, gap_tol=1e-8, base_frame=None):
 
     def F(x):
         fr = PolarFrame(layout.from_real(x), gap_tol=gap_tol, check=False)
-        U = fr.U
-        if base_U is not None:
-            ph = np.diag(base_U.conj().T @ U)
-            U = U * (ph.conj() / np.abs(ph))[None, :]
+        U = fr.U if base_U is None else _align_phases(fr.U, base_U)
         W = fr.V @ U
         return stack.pack({
             "H": [fr.H], "N": [fr.N], "lam": fr.lam,
@@ -187,28 +185,21 @@ def closed_form_polar_system(frame):
     out["gamma_Ulam"] = np.zeros((dd, d))
     out["gamma_Wlam"] = np.zeros((dd, d))
 
-    # degenerate rank-one Dirichlet system on (Z^(1), ..., Z^(d-1))
+    # degenerate rank-one Dirichlet system on (Z^(1), ..., Z^(d-1)):
+    # Gamma(Z^p_ij, Z^q_kl) = delta_pq sum_s r_sp (Z^s_il Z^p_kj
+    # + Z^s_kj Z^p_il) - r_pq (Z^q_il Z^p_kj + Z^p_il Z^q_kj)
     n = d - 1
     Z = frame.Z
-    gzz = np.zeros((n * dd, n * dd), dtype=complex)
-    for p in range(n):
-        for q in range(n):
-            blk = -r[p, q] * (np.einsum("il,kj->ijkl", Z[q], Z[p])
-                              + np.einsum("il,kj->ijkl", Z[p], Z[q]))
-            if p == q:
-                for s in range(d):
-                    blk = blk + r[s, p] * (
-                        np.einsum("il,kj->ijkl", Z[s], Z[p])
-                        + np.einsum("kj,il->ijkl", Z[s], Z[p]))
-            gzz[p * dd:(p + 1) * dd, q * dd:(q + 1) * dd] = blk.reshape(dd, dd)
-    out["gamma_ZZ"] = gzz
-    lz = np.zeros(n * dd, dtype=complex)
-    for p in range(n):
-        acc = np.zeros((d, d), dtype=complex)
-        for q in range(d):
-            acc += 2.0 * r[p, q] * (Z[q] - Z[p])
-        lz[p * dd:(p + 1) * dd] = acc.ravel()
-    out["L_Z"] = lz
+    Zf = Z[:n]
+    gzz = -(np.einsum("pq,qil,pkj->pijqkl", r[:n, :n], Zf, Zf)
+            + np.einsum("pq,pil,qkj->pijqkl", r[:n, :n], Zf, Zf))
+    own = np.einsum("sp,sil,pkj->pijkl", r[:, :n], Z, Zf)
+    p = np.arange(n)
+    gzz[p, :, :, p] += own + own.transpose(0, 3, 4, 1, 2)
+    out["gamma_ZZ"] = gzz.reshape(n * dd, n * dd)
+    # L(Z^p) = sum_q 2 r_pq (Z^q - Z^p)
+    out["L_Z"] = 2.0 * (np.einsum("pq,qij->pij", r[:n], Z)
+                        - s_r[:n, None, None] * Zf).ravel()
     out["gamma_Zlam"] = np.zeros((n * dd, d))
     return out
 
@@ -219,55 +210,37 @@ def diagonal_point_forms(x):
     x = np.asarray(x, dtype=float)
     d = x.size
     X = x ** 2
-    dd = d * d
     r = _r_matrix(x)
     psum = x[:, None] + x[None, :]
     diffX = X[:, None] - X[None, :]
-    np.fill_diagonal(diffX, 1.0)
+    np.fill_diagonal(diffX, np.inf)
+    c = 1.0 / psum ** 2
+    i, j = np.indices((d, d))
+
+    def table(values, crossed=True):
+        """Entry table with T[i, j, j, i] (crossed) or T[i, j, i, j] set."""
+        T = np.zeros((d, d, d, d), dtype=complex)
+        if crossed:
+            T[i, j, j, i] = values
+        else:
+            T[i, j, i, j] = values
+        return T.reshape(d * d, d * d)
 
     out = {}
-    guv = np.zeros((d, d, d, d), dtype=complex)
-    gvv = np.zeros((d, d, d, d), dtype=complex)
-    gvvbar = np.zeros((d, d, d, d), dtype=complex)
-    guw = np.zeros((d, d, d, d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            c = 1.0 / psum[i, j] ** 2
-            gvv[i, j, j, i] = -4.0 * c
-            gvvbar[i, j, i, j] = 4.0 * c
-            if i != j:
-                guv[i, j, j, i] = 2.0 * c
-                guw[i, j, j, i] = -4.0 * x[i] * x[j] / diffX[i, j] ** 2
-    out["gamma_UV"] = guv.reshape(dd, dd)
-    out["gamma_VV"] = gvv.reshape(dd, dd)
-    out["gamma_VVbar"] = gvvbar.reshape(dd, dd)
-    out["gamma_UW"] = guw.reshape(dd, dd)
-
-    gvn = np.zeros((d, d, d, d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            gvn[i, j, j, i] = 2.0 * (x[i] - x[j]) / psum[i, j] ** 2
-    out["gamma_VN"] = gvn.reshape(dd, dd)
+    out["gamma_UV"] = table(2.0 * c * (i != j))
+    out["gamma_VV"] = table(-4.0 * c)
+    out["gamma_VVbar"] = table(4.0 * c, crossed=False)
+    out["gamma_UW"] = table(-4.0 * x[:, None] * x[None, :] / diffX ** 2)
+    out["gamma_VN"] = table(2.0 * (x[:, None] - x[None, :]) / psum ** 2)
     out["L_V"] = np.diag(-4.0 * np.sum(1.0 / psum ** 2, axis=1)
                          ).ravel().astype(complex)
 
     # identity-point values of the general U tables, used as transport seeds
-    guu = np.zeros((d, d, d, d), dtype=complex)
-    guubar = np.zeros((d, d, d, d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            guu[i, j, j, i] = -r[i, j]
-            guubar[i, j, i, j] = r[i, j]
-    out["gamma_UU"] = guu.reshape(dd, dd)
-    out["gamma_UUbar"] = guubar.reshape(dd, dd)
+    out["gamma_UU"] = table(-r)
+    out["gamma_UUbar"] = table(r, crossed=False)
     out["L_U"] = np.diag(-r.sum(axis=1)).ravel().astype(complex)
 
-    gnn = np.zeros((d, d, d, d), dtype=complex)
-    coef = 2.0 * (X[:, None] + X[None, :]) / psum ** 2
-    for i in range(d):
-        for j in range(d):
-            gnn[i, j, j, i] = coef[i, j]
-    out["gamma_NN"] = gnn.reshape(dd, dd)
+    out["gamma_NN"] = table(2.0 * (X[:, None] + X[None, :]) / psum ** 2)
     out["L_N"] = np.diag(4.0 * np.sum(x[None, :] / psum ** 2, axis=1)
                          ).ravel().astype(complex)
     return out
@@ -333,7 +306,7 @@ def degenerate_dirichlet_params(frame):
 
 def scalar_projection_v(frame):
     """The top-left entries v_k = Z^(k)_11, a point of the simplex."""
-    return np.array([frame.Z[k][0, 0].real for k in range(frame.d - 1)])
+    return np.array(frame.Z[:-1, 0, 0].real)
 
 
 def scalar_projection_params(frame):

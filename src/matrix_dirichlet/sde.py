@@ -24,20 +24,30 @@ from scipy.linalg.lapack import dpstrf
 from .calculus import DiffusionModel
 from .errors import NotPsdError, StepRejectedError
 
+_N_BATCHES = 20  # batch-means batches of every simulated path
+
 
 class SimConfig:
-    """Integration parameters: step size, length, thinning, seed."""
+    """Integration parameters: step size, length, thinning, seed.
+
+    The recorded states, (n_steps - burn_in) // thin, must cover the 20
+    batch-means batches.
+    """
 
     def __init__(self, dt, n_steps, thin=1, seed=0, max_step_retries=8,
                  burn_in=0):
-        if dt <= 0:
-            raise ValueError("dt must be positive")
+        if not 0 < dt < np.inf:
+            raise ValueError("dt must be positive and finite, got %r" % dt)
         if thin < 1:
             raise ValueError("thin must be >= 1")
         if max_step_retries < 0:
             raise ValueError("max_step_retries must be >= 0")
         if not (0 <= burn_in < n_steps):
             raise ValueError("burn_in must lie in [0, n_steps)")
+        count = (n_steps - burn_in) // thin
+        if count < _N_BATCHES:
+            raise ValueError("only %d recorded states for %d batches"
+                             % (count, _N_BATCHES))
         self.dt = float(dt)
         self.n_steps = int(n_steps)
         self.thin = int(thin)
@@ -165,18 +175,14 @@ def simulate(model, x0, config, record=False):
     """Integrate the model from x0 and stream moments.
 
     Deterministic given config.seed (counter-based Philox stream).
-    Records every thin-th state after burn_in; the number of recorded
-    states must cover the 20 batch-means batches.
+    Records every thin-th state after burn_in.
     """
     x = np.asarray(x0, dtype=float).copy()
     if not model.domain_test(x):
         raise StepRejectedError("x0 outside the domain", position=x)
     rng = np.random.Generator(np.random.Philox(config.seed))
     count = (config.n_steps - config.burn_in) // config.thin
-    nb = 20
-    if count < nb:
-        raise ValueError("only %d recorded states for %d batches"
-                         % (count, nb))
+    nb = _N_BATCHES
     bs = count // nb
     used = nb * bs
     dim = x.size

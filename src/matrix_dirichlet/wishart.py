@@ -21,7 +21,7 @@ import numpy as np
 
 from .calculus import DiffusionModel, ProjectionMap
 from .errors import DomainError, MatrixDirichletError, NotPsdError
-from .linalg import hermitian_eigen
+from .linalg import _align_phases, _hermitize, hermitian_eigen
 from .matrix_simplex import (  # noqa: F401 (the direct sampler is re-exported)
     MatrixSimplexPoint, Model2Params, _ginibre_squares, log_gamma_d,
     sample_matrix_dirichlet_direct, simplex_layout)
@@ -29,22 +29,22 @@ from .realify import CoordStack, CplxLayout, HermLayout, RealLayout
 
 
 class WishartFamily:
-    """n+1 Hermitian psd blocks with their dimension parameters."""
+    """n+1 Hermitian psd blocks, stacked as W[p] (an (n+1, d, d) array),
+    with their dimension parameters."""
 
     def __init__(self, W_list, dims, check=True):
-        self.W = [np.asarray(W, dtype=complex) for W in W_list]
+        self.W = np.asarray(W_list, dtype=complex)
         self.dims = [float(x) for x in dims]
         if len(self.W) != len(self.dims):
             raise ValueError("one dimension parameter per block")
-        self.d = self.W[0].shape[0]
+        self.d = self.W.shape[1]
         self.n = len(self.W) - 1
         self.Ntot = float(sum(self.dims))
         if check:
-            for W in self.W:
-                if np.max(np.abs(W - W.conj().T)) > 1e-10:
-                    raise DomainError("block is not Hermitian")
-                if np.min(np.linalg.eigvalsh(W)) < -1e-10:
-                    raise DomainError("block is not psd")
+            if np.max(np.abs(self.W - self.W.conj().swapaxes(1, 2))) > 1e-10:
+                raise DomainError("block is not Hermitian")
+            if np.min(np.linalg.eigvalsh(self.W)) < -1e-10:
+                raise DomainError("block is not psd")
 
 
 def wishart_layout(n_blocks, d):
@@ -55,28 +55,21 @@ def wishart_ambient(d, dims):
     m = len(dims)
     layout = wishart_layout(m, d)
     Id = np.eye(d)
+    Im = np.eye(m)
+    r = np.asarray(dims, dtype=float)[:, None, None]
 
     def gamma(x):
-        Ws = layout.from_real(x)
-        dd = d * d
-        T = np.zeros((m * dd, m * dd), dtype=complex)
-        for p, W in enumerate(Ws):
-            blk = 2.0 * (np.einsum("jk,il->ijkl", Id, W)
-                         + np.einsum("il,kj->ijkl", Id, W))
-            T[p * dd:(p + 1) * dd, p * dd:(p + 1) * dd] = blk.reshape(dd, dd)
-        return layout.gamma_to_real(T)
+        W = layout.from_real(x)
+        T = 2.0 * (np.einsum("pq,jk,pil->pijqkl", Im, Id, W)
+                   + np.einsum("pq,il,pkj->pijqkl", Im, Id, W))
+        return layout.gamma_to_real(T.reshape(m * d * d, m * d * d))
 
     def drift(x):
-        Ws = layout.from_real(x)
-        out = np.empty(m * d * d, dtype=complex)
-        for p, W in enumerate(Ws):
-            out[p * d * d:(p + 1) * d * d] = (4.0 * dims[p] * Id
-                                              - 2.0 * W).ravel()
-        return layout.drift_to_real(out)
+        return layout.drift_to_real(
+            (4.0 * r * Id - 2.0 * layout.from_real(x)).ravel())
 
     def domain(x):
-        return all(np.min(np.linalg.eigvalsh(W)) > -1e-9
-                   for W in layout.from_real(x))
+        return np.min(np.linalg.eigvalsh(layout.from_real(x))) > -1e-9
 
     return DiffusionModel(layout.real_dim, gamma, drift, domain_test=domain,
                           name="wishart-family")
@@ -127,15 +120,11 @@ def wishart_log_density(dims, W_list):
 
 def wishart_grad_log(dims, W_list):
     """Realified gradient of the log density over all blocks."""
-    d = W_list[0].shape[0]
-    m = len(W_list)
-    layout = wishart_layout(m, d)
-    g = np.empty(m * d * d, dtype=complex)
-    for p, (r, W) in enumerate(zip(dims, W_list)):
-        inv = np.linalg.inv(W)
-        g[p * d * d:(p + 1) * d * d] = ((r - d) * inv.T
-                                        - 0.5 * np.eye(d)).ravel()
-    return layout.grad_to_real(g)
+    W = np.asarray(W_list, dtype=complex)
+    m, d = W.shape[:2]
+    r = np.asarray(dims, dtype=float)[:, None, None]
+    g = (r - d) * np.linalg.inv(W).swapaxes(1, 2) - 0.5 * np.eye(d)
+    return wishart_layout(m, d).grad_to_real(g.ravel())
 
 
 def sample_wishart_family(d, dims, rng):
@@ -147,36 +136,29 @@ def sample_wishart_family(d, dims, rng):
 # -- the (S, lambda, N, M, U, Z) frame ----------------------------------------
 
 class SMZFrame:
-    def __init__(self, family, gap_tol=1e-8, eig_method="lapack"):
+    """The frame of a family: S, lam, U, the projectors V, N, N^(-1), and
+    the stacked M^(p) and Z^(p) of the n free blocks."""
+
+    def __init__(self, family, gap_tol=1e-8):
         self.family = family
         self.d = family.d
         self.n = family.n
         self.dims = family.dims
         self.Ntot = family.Ntot
-        S = sum(family.W)
-        S = 0.5 * (S + S.conj().T)
+        S = _hermitize(family.W.sum(axis=0))
         if np.min(np.linalg.eigvalsh(S)) <= 0:
             raise NotPsdError("S = sum W must be positive definite")
-        base = hermitian_eigen(S, gap_tol=gap_tol, method=eig_method)
+        base = hermitian_eigen(S, gap_tol=gap_tol, method="lapack")
         self.S = S
         self.eig = base.sqrt_frame()          # lambdas = sqrt eigenvalues
         self.lam = self.eig.lambdas
         self.U = self.eig.U
         self.V = self.eig.projectors
-        self.Nmat = 0.5 * (self.U @ np.diag(self.lam) @ self.U.conj().T
-                           + (self.U @ np.diag(self.lam)
-                              @ self.U.conj().T).conj().T)
-        self.Ninv = self.U @ np.diag(1.0 / self.lam) @ self.U.conj().T
-        self.Ninv = 0.5 * (self.Ninv + self.Ninv.conj().T)
-        self.M = []
-        self.Z = []
-        for W in family.W[:self.n]:
-            M = self.Ninv @ W @ self.Ninv
-            M = 0.5 * (M + M.conj().T)
-            Z = self.U.conj().T @ M @ self.U
-            Z = 0.5 * (Z + Z.conj().T)
-            self.M.append(M)
-            self.Z.append(Z)
+        Ustar = self.U.conj().T
+        self.Nmat = _hermitize(self.U @ np.diag(self.lam) @ Ustar)
+        self.Ninv = _hermitize(self.U @ np.diag(1.0 / self.lam) @ Ustar)
+        self.M = _hermitize(self.Ninv @ family.W[:self.n] @ self.Ninv)
+        self.Z = _hermitize(Ustar @ self.M @ self.U)
 
     def m_point(self):
         return MatrixSimplexPoint(self.M, check=False)
@@ -226,9 +208,8 @@ def smz_projection(d, dims, gap_tol=1e-8, base_frame=None):
         fr = SMZFrame(family, gap_tol=gap_tol)
         U, Z = fr.U, fr.Z
         if base_U is not None:
-            ph = np.diag(base_U.conj().T @ U)
-            U = U * (ph.conj() / np.abs(ph))[None, :]
-            Z = [U.conj().T @ Mp @ U for Mp in fr.M]
+            U = _align_phases(U, base_U)
+            Z = U.conj().T @ fr.M @ U
         return stack.pack({
             "W": family.W, "S": [fr.S], "lam": fr.lam, "N": [fr.Nmat],
             "Ninv": [fr.Ninv], "M": fr.M, "U": U, "Z": Z})
@@ -246,6 +227,34 @@ def _pair_outer(coef, left, right):
     return blk.reshape(d * d, d * d)
 
 
+def _root_cross(coef, V, W):
+    """Gamma of a spectral function of S with coefficients coef against each
+    block W^(p): sum_rs coef_rs (V^r_il (W^p V^s)_kj + V^s_kj (V^r W^p)_il),
+    as an (ij),(p kl) table."""
+    d = V.shape[1]
+    WV = W[:, None] @ V[None]    # [p, s] = W^p V^s
+    VW = V[None] @ W[:, None]    # [p, r] = V^r W^p
+    T = (np.einsum("rs,ril,pskj->ijpkl", coef, V, WV)
+         + np.einsum("rs,skj,pril->ijpkl", coef, V, VW))
+    return T.reshape(d * d, -1)
+
+
+def _quadratic_terms(A, Z):
+    """2 (A_kj P^pq_il + A_il P^qp_kj) with P^pq = delta_pq Z^p - Z^p Z^q,
+    the A-part of a model II co-metric, as a (p ij),(q kl) table."""
+    n, d = Z.shape[:2]
+    P = -(Z[:, None] @ Z[None])
+    P[np.arange(n), np.arange(n)] += Z
+    X = 2.0 * np.einsum("kj,pqil->pijqkl", A, P)
+    return (X + X.transpose(3, 4, 5, 0, 1, 2)).reshape(n * d * d, n * d * d)
+
+
+def _conj_swap(T, n, d):
+    """Gamma(f_ij, conj g) = conj Gamma(f_ji, g) for Hermitian blocks f:
+    the conjugate column block of an (n ij),(kl) table."""
+    return np.conj(T.reshape(n, d, d, d * d).swapaxes(1, 2)).reshape(T.shape)
+
+
 def closed_form_smz_system(frame):
     """All closed-form co-metric blocks and drifts at the frame point.
 
@@ -259,38 +268,36 @@ def closed_form_smz_system(frame):
     lam = frame.lam
     U = frame.U
     Ustar = U.conj().T
-    V = np.array(frame.V)
+    V = frame.V
     S = frame.S
+    W = frame.family.W
     Ntot = frame.Ntot
     Id = np.eye(d)
     dd = d * d
+    dims = np.asarray(frame.dims[:n])[:, None, None]
     out = {}
 
     lr = lam[:, None] + lam[None, :]
     l2 = lam ** 2
+    # l_i^2 - l_j^2, infinite on the diagonal so that the off-diagonal
+    # weights below vanish there
+    gap = l2[:, None] - l2[None, :]
+    np.fill_diagonal(gap, np.inf)
 
-    # S block
-    out["gamma_SS"] = 2.0 * (np.einsum("jk,il->ijkl", Id, S)
-                             + np.einsum("il,kj->ijkl", Id, S)
-                             ).reshape(dd, dd)
-    gSW = np.zeros((dd, (n + 1) * dd), dtype=complex)
-    for p, W in enumerate(frame.family.W):
-        gSW[:, p * dd:(p + 1) * dd] = 2.0 * (
-            np.einsum("jk,il->ijkl", Id, W)
-            + np.einsum("il,kj->ijkl", Id, W)).reshape(dd, dd)
-    out["gamma_SW"] = gSW
+    # S block: Gamma(S_ij, B^p_kl) = 2 (delta_jk B^p_il + delta_il B^p_kj)
+    # for B = S and for each block B = W^(p)
+    def s_cross(B):
+        return 2.0 * (np.einsum("jk,pil->ijpkl", Id, B)
+                      + np.einsum("il,pkj->ijpkl", Id, B)).reshape(dd, -1)
+
+    out["gamma_SS"] = s_cross(S[None])
+    out["gamma_SW"] = s_cross(W)
     out["L_S"] = (4.0 * Ntot * Id - 2.0 * S).ravel()
 
     # radial part
     out["gamma_lamlam"] = np.eye(d)
-    L_lam = np.empty(d)
-    for i in range(d):
-        acc = (2.0 * (Ntot - d) + 1.0) / lam[i] - lam[i]
-        for j in range(d):
-            if j != i:
-                acc += 4.0 * lam[i] / (l2[i] - l2[j])
-        L_lam[i] = acc
-    out["L_lam"] = L_lam
+    out["L_lam"] = ((2.0 * (Ntot - d) + 1.0) / lam - lam
+                    + 4.0 * lam * np.sum(1.0 / gap, axis=1))
 
     # derivative of the matrix square root: dN_ij / dS_kl
     out["dN_dS"] = np.einsum("rs,rik,slj->ijkl", 1.0 / lr, V, V
@@ -299,14 +306,7 @@ def closed_form_smz_system(frame):
     # N = sqrt(S) system
     out["gamma_NN"] = _pair_outer(2.0 * (l2[:, None] + l2[None, :]) / lr ** 2,
                                   V, V)
-    gNW = np.zeros((dd, (n + 1) * dd), dtype=complex)
-    for p, W in enumerate(frame.family.W):
-        WV = np.einsum("ab,sbc->sac", W, V)    # W V^s
-        VW = np.einsum("rab,bc->rac", V, W)    # V^r W
-        blk = (np.einsum("rs,ril,skj->ijkl", 2.0 / lr, V, WV)
-               + np.einsum("rs,skj,ril->ijkl", 2.0 / lr, V, VW))
-        gNW[:, p * dd:(p + 1) * dd] = blk.reshape(dd, dd)
-    out["gamma_NW"] = gNW
+    out["gamma_NW"] = _root_cross(2.0 / lr, V, W)
     c_r = np.sum(lam[None, :] / lr ** 2, axis=1)
     out["L_N"] = (4.0 * np.einsum("r,rij->ij", c_r, V) - frame.Nmat
                   + 2.0 * (Ntot - d) * frame.Ninv).ravel()
@@ -315,15 +315,7 @@ def closed_form_smz_system(frame):
     out["gamma_NinvN"] = _pair_outer(
         -2.0 * (l2[:, None] + l2[None, :])
         / (np.outer(lam, lam) * lr ** 2), V, V)
-    gNiW = np.zeros((dd, (n + 1) * dd), dtype=complex)
-    coef = -2.0 / (np.outer(lam, lam) * lr)
-    for p, W in enumerate(frame.family.W):
-        WV = np.einsum("ab,sbc->sac", W, V)
-        VW = np.einsum("rab,bc->rac", V, W)
-        blk = (np.einsum("rs,ril,skj->ijkl", coef, V, WV)
-               + np.einsum("rs,skj,ril->ijkl", coef, V, VW))
-        gNiW[:, p * dd:(p + 1) * dd] = blk.reshape(dd, dd)
-    out["gamma_NinvW"] = gNiW
+    out["gamma_NinvW"] = _root_cross(-2.0 / (np.outer(lam, lam) * lr), V, W)
     out["gamma_NinvNinv"] = _pair_outer(
         2.0 * (l2[:, None] + l2[None, :]) / (np.outer(l2, l2) * lr ** 2), V, V)
     c_inv = np.sum(1.0 / (lam[None, :] * lr ** 2), axis=1)
@@ -332,129 +324,67 @@ def closed_form_smz_system(frame):
                      - 2.0 * (Ntot - d) * SinvNinv).ravel()
 
     # M system
-    Sinv = U @ np.diag(1.0 / l2) @ Ustar
-    Sinv = 0.5 * (Sinv + Sinv.conj().T)
+    Sinv = _hermitize(U @ np.diag(1.0 / l2) @ Ustar)
     h = 4.0 / lr ** 2
     M = frame.M
-    VM = [np.einsum("rab,bc->rac", V, Mp) for Mp in M]   # V^a M^p
-    MV = [np.einsum("ab,rbc->rac", Mp, V) for Mp in M]   # M^p V^a
-    gMM = np.zeros((n * dd, n * dd), dtype=complex)
-    for p in range(n):
-        for q in range(n):
-            blk = (-np.einsum("kj,il->ijkl", Sinv, M[p] @ M[q])
-                   - np.einsum("il,kj->ijkl", Sinv, M[q] @ M[p])) * 2.0
-            if p == q:
-                blk += 2.0 * (np.einsum("il,kj->ijkl", Sinv, M[p])
-                              + np.einsum("kj,il->ijkl", Sinv, M[p]))
-            blk -= np.einsum("ab,ail,bkj->ijkl", h, VM[q], VM[p])
-            blk -= np.einsum("ab,ail,bkj->ijkl", h, MV[p], MV[q])
-            MVM_pq = np.einsum("ab,rbc,cd->rad", M[p], V, M[q])  # M^p V^b M^q
-            MVM_qp = np.einsum("ab,rbc,cd->rad", M[q], V, M[p])
-            blk += np.einsum("ab,akj,bil->ijkl", h, V, MVM_pq)
-            blk += np.einsum("ab,ail,bkj->ijkl", h, V, MVM_qp)
-            gMM[p * dd:(p + 1) * dd, q * dd:(q + 1) * dd] = blk.reshape(dd, dd)
-    out["gamma_MM"] = gMM
+    VM = V[None] @ M[:, None]      # [p, a] = V^a M^p
+    MV = M[:, None] @ V[None]      # [p, a] = M^p V^a
+    MVM = MV[:, None] @ M[None, :, None]     # [p, q, b] = M^p V^b M^q
+    gMM = (-np.einsum("ab,qail,pbkj->pijqkl", h, VM, VM)
+           - np.einsum("ab,pail,qbkj->pijqkl", h, MV, MV)
+           + np.einsum("ab,akj,pqbil->pijqkl", h, V, MVM)
+           + np.einsum("ab,ail,qpbkj->pijqkl", h, V, MVM))
+    out["gamma_MM"] = gMM.reshape(n * dd, n * dd) + _quadratic_terms(Sinv, M)
 
     g2 = 1.0 / lr ** 2
     ca = np.sum(g2, axis=1)
-    L_M = np.zeros(n * dd, dtype=complex)
-    for p in range(n):
-        acc = 4.0 * frame.dims[p] * Sinv
-        acc -= 2.0 * (Ntot - d) * (Sinv @ M[p] + M[p] @ Sinv)
-        acc -= 4.0 * Sinv * np.trace(M[p])
-        acc -= 4.0 * np.einsum("a,aij->ij", ca, VM[p])
-        acc -= 4.0 * np.einsum("b,bij->ij", ca, MV[p])
-        acc += 8.0 * np.einsum("ab,aij,b->ij", g2, V,
-                               np.einsum("rab,ba->r", V, M[p]).real)
-        L_M[p * dd:(p + 1) * dd] = acc.ravel()
-    out["L_M"] = L_M
+    trV = np.einsum("rab,pba->pr", V, M).real      # tr(V^r M^p)
+    out["L_M"] = (4.0 * dims * Sinv
+                  - 2.0 * (Ntot - d) * (Sinv @ M + M @ Sinv)
+                  - 4.0 * Sinv * np.trace(M, axis1=1, axis2=2)[:, None, None]
+                  - 4.0 * np.einsum("a,paij->pij", ca, VM + MV)
+                  + 8.0 * np.einsum("ab,aij,pb->pij", g2, V, trV)).ravel()
 
-    gMS = np.zeros((n * dd, dd), dtype=complex)
     skew = 2.0 * (lam[:, None] - lam[None, :]) / lr
-    for p in range(n):
-        blk = (np.einsum("ab,ail,bkj->ijkl", skew, MV[p], V)
-               - np.einsum("ab,ail,bkj->ijkl", skew, V, VM[p]))
-        gMS[p * dd:(p + 1) * dd, :] = blk.reshape(dd, dd)
-    out["gamma_MS"] = gMS
+    out["gamma_MS"] = (np.einsum("ab,pail,bkj->pijkl", skew, MV, V)
+                       - np.einsum("ab,ail,pbkj->pijkl", skew, V, VM)
+                       ).reshape(n * dd, dd)
     out["gamma_Mlam"] = np.zeros((n * dd, d))
 
     # M-U coupling
-    g_off = np.zeros((d, d))
-    for i in range(d):
-        for j in range(d):
-            if i != j:
-                g_off[i, j] = 2.0 / lr[i, j] ** 2
-    gMU = np.zeros((n * dd, dd), dtype=complex)
-    gMUbar = np.zeros((n * dd, dd), dtype=complex)
-    for p in range(n):
-        MpU = M[p] @ U
-        UsM = Ustar @ M[p]
-        t1 = np.einsum("al,il,aj,ka->ijkl", g_off, MpU, Ustar, U)
-        t2 = np.einsum("al,il,aj,ka->ijkl", g_off, U, UsM, U)
-        gMU[p * dd:(p + 1) * dd, :] = (t1 - t2).reshape(dd, dd)
-        t3 = np.einsum("la,ia,ak,lj->ijkl", g_off, MpU, Ustar, Ustar)
-        t4 = np.einsum("la,ia,ak,lj->ijkl", g_off, U, Ustar, UsM)
-        gMUbar[p * dd:(p + 1) * dd, :] = (-t3 + t4).reshape(dd, dd)
-    out["gamma_MU"] = gMU
-    out["gamma_MUbar"] = gMUbar
+    g_off = 2.0 / lr ** 2
+    np.fill_diagonal(g_off, 0.0)
+    gMU = (np.einsum("al,pil,aj,ka->pijkl", g_off, M @ U, Ustar, U)
+           - np.einsum("al,il,paj,ka->pijkl", g_off, U, Ustar @ M, U))
+    out["gamma_MU"] = gMU.reshape(n * dd, dd)
+    out["gamma_MUbar"] = _conj_swap(out["gamma_MU"], n, d)
 
-    # Z system
+    # Z system: y_ij = 2 (l_i^2 + l_j^2) / (l_i^2 - l_j^2)^2 off the
+    # diagonal, 1 / l_i^2 on it
     Z = frame.Z
-    y = np.empty((d, d))
-    for i in range(d):
-        for j in range(d):
-            if i == j:
-                y[i, j] = 1.0 / l2[i]
-            else:
-                y[i, j] = 2.0 * (l2[i] + l2[j]) / (l2[i] - l2[j]) ** 2
     Dinv2 = np.diag(1.0 / l2)
-    gZZ = np.zeros((n * dd, n * dd), dtype=complex)
-    for p in range(n):
-        for q in range(n):
-            blk = -2.0 * (np.einsum("kj,il->ijkl", Dinv2, Z[p] @ Z[q])
-                          + np.einsum("il,kj->ijkl", Dinv2, Z[q] @ Z[p]))
-            if p == q:
-                blk += 2.0 * (np.einsum("il,kj->ijkl", Dinv2, Z[p])
-                              + np.einsum("kj,il->ijkl", Dinv2, Z[p]))
-            P = np.einsum("ia,aj,ka->ijk", y, Z[p], Z[q])
-            blk += np.einsum("ijk,il->ijkl", P, Id)
-            Q = np.einsum("ka,ia,al->kil", y, Z[p], Z[q])
-            blk += np.einsum("kil,kj->ijkl", Q, Id)
-            blk -= np.einsum("ik,kj,il->ijkl", y, Z[p], Z[q])
-            blk -= np.einsum("jl,il,kj->ijkl", y, Z[p], Z[q])
-            gZZ[p * dd:(p + 1) * dd, q * dd:(q + 1) * dd] = blk.reshape(dd, dd)
-    out["gamma_ZZ"] = gZZ
+    y = 2.0 * (l2[:, None] + l2[None, :]) / gap ** 2
+    np.fill_diagonal(y, 1.0 / l2)
+    gZZ = (np.einsum("ia,paj,qka,il->pijqkl", y, Z, Z, Id)
+           + np.einsum("ka,pia,qal,kj->pijqkl", y, Z, Z, Id)
+           - np.einsum("ik,pkj,qil->pijqkl", y, Z, Z)
+           - np.einsum("jl,pil,qkj->pijqkl", y, Z, Z))
+    out["gamma_ZZ"] = gZZ.reshape(n * dd, n * dd) + _quadratic_terms(Dinv2, Z)
 
-    L_Z = np.zeros(n * dd, dtype=complex)
     ysum = np.sum(y, axis=1)
-    for p in range(n):
-        acc = 4.0 * frame.dims[p] * Dinv2 - 4.0 * Dinv2 * np.trace(Z[p])
-        acc = acc + 2.0 * np.diag(y @ np.diag(Z[p]).real)
-        acc = acc - 2.0 * (Ntot - d) * ((1.0 / l2)[:, None]
-                                        + (1.0 / l2)[None, :]) * Z[p]
-        acc = acc - (ysum[None, :] + ysum[:, None]) * Z[p]
-        L_Z[p * dd:(p + 1) * dd] = acc.ravel()
-    out["L_Z"] = L_Z
+    zdiag = np.diagonal(Z, axis1=1, axis2=2).real
+    weight = (2.0 * (Ntot - d) * (1.0 / l2[:, None] + 1.0 / l2[None, :])
+              + ysum[None, :] + ysum[:, None])
+    out["L_Z"] = (4.0 * (dims - np.trace(Z, axis1=1, axis2=2)[:, None, None])
+                  * Dinv2 + 2.0 * (zdiag @ y.T)[:, :, None] * Id
+                  - weight * Z).ravel()
     out["gamma_Zlam"] = np.zeros((n * dd, d))
 
-    c = np.zeros((d, d))
-    for i in range(d):
-        for j in range(d):
-            if i != j:
-                c[i, j] = 4.0 * lam[i] * lam[j] / (l2[i] - l2[j]) ** 2
-    gZU = np.zeros((n * dd, dd), dtype=complex)
-    for p in range(n):
-        t1 = np.einsum("al,ka,aj,il->ijkl", c, U, Z[p], Id)
-        t2 = np.einsum("jl,kj,il->ijkl", c, U, Z[p])
-        gZU[p * dd:(p + 1) * dd, :] = (t1 - t2).reshape(dd, dd)
-    out["gamma_ZU"] = gZU
-    # conjugate column block via Gamma(f, conj g) = conj(Gamma(conj f, g))
-    gZUbar = np.zeros((n * dd, dd), dtype=complex)
-    for p in range(n):
-        blk = gZU[p * dd:(p + 1) * dd, :].reshape(d, d, d, d)
-        gZUbar[p * dd:(p + 1) * dd, :] = np.conj(
-            blk.transpose(1, 0, 2, 3)).reshape(dd, dd)
-    out["gamma_ZUbar"] = gZUbar
+    c = 4.0 * np.outer(lam, lam) / gap ** 2
+    gZU = (np.einsum("al,ka,paj,il->pijkl", c, U, Z, Id)
+           - np.einsum("jl,kj,pil->pijkl", c, U, Z))
+    out["gamma_ZU"] = gZU.reshape(n * dd, dd)
+    out["gamma_ZUbar"] = _conj_swap(out["gamma_ZU"], n, d)
     return out
 
 
@@ -464,23 +394,25 @@ def theorem_params(frame):
     A = 2 diag(lambda^-2); B couples entry pairs diagonally with weights
     2(l_i^2+l_j^2)/(l_i^2-l_j^2)^2 off the diagonal and 1/l_i^2 on it;
     a_p = d_p - d + 1.  Returns (params, radial_drift) with radial_drift the
-    drift of each lambda_i (the radial co-metric is the identity).
+    drift of each lambda_i (the radial co-metric is the identity):
+    (2 (N - d) + 1) / l_i - l_i + sum_(j != i) 4 l_i / (l_i^2 - l_j^2).
     """
     d = frame.d
     lam = frame.lam
     l2 = lam ** 2
     A = np.diag(2.0 / l2)
+    gap = l2[:, None] - l2[None, :]
+    np.fill_diagonal(gap, np.inf)
+    i, j = np.indices((d, d))
     B = np.zeros((d, d, d, d))
-    for i in range(d):
-        for j in range(d):
-            if i == j:
-                B[i, j, i, j] = 1.0 / l2[i]
-            else:
-                B[i, j, i, j] = 2.0 * (l2[i] + l2[j]) / (l2[i] - l2[j]) ** 2
+    # float_power squares through C pow like a scalar ** (np.square may
+    # differ by an ulp), so written parameter files keep their bytes
+    B[i, j, i, j] = np.where(i == j, 1.0 / l2[i], 2.0 * (
+        l2[:, None] + l2[None, :]) / np.float_power(gap, 2))
     a = np.asarray(frame.dims, dtype=float) - frame.d + 1.0
-    params = Model2Params(A, B, a)
-    system = closed_form_smz_system(frame)
-    return params, system["L_lam"]
+    radial = ((2.0 * (frame.Ntot - d) + 1.0) / lam - lam
+              + 4.0 * lam * np.sum(1.0 / gap, axis=1))
+    return Model2Params(A, B, a), radial
 
 
 def sm_operator(frame):
@@ -492,14 +424,11 @@ def sm_operator(frame):
     a_p = d_p - d + 1 whose co-metric/drift reproduce the M blocks.
     """
     system = closed_form_smz_system(frame)
-    d = frame.d
     lam = frame.lam
-    V = np.array(frame.V)
     lr = lam[:, None] + lam[None, :]
-    Sinv = frame.U @ np.diag(1.0 / lam ** 2) @ frame.U.conj().T
-    A = 2.0 * 0.5 * (Sinv + Sinv.conj().T)
-    B = np.einsum("rs,rik,slj->ijkl", 4.0 / lr ** 2, V, V)
-    a = np.asarray(frame.dims, dtype=float) - d + 1.0
+    A = 2.0 * _hermitize(frame.U @ np.diag(1.0 / lam ** 2) @ frame.U.conj().T)
+    B = np.einsum("rs,rik,slj->ijkl", 4.0 / lr ** 2, frame.V, frame.V)
+    a = np.asarray(frame.dims, dtype=float) - frame.d + 1.0
     return {
         "gamma_SS": system["gamma_SS"],
         "gamma_MS": system["gamma_MS"],
@@ -519,7 +448,7 @@ def sample_smz_frame(d, dims, rng, gap_min=0.25, pivot_min=0.05,
             fr = SMZFrame(family, gap_tol=1e-10)
         except (MatrixDirichletError, np.linalg.LinAlgError):
             continue
-        if np.min(np.diff(fr.lam)) < gap_min:
+        if d > 1 and np.min(np.diff(fr.lam)) < gap_min:
             continue
         if np.min(np.abs(np.diag(fr.U))) < pivot_min:
             continue

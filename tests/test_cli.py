@@ -141,3 +141,38 @@ def test_non_positive_counts_exit_2(argv, tmp_path, capsys):
     assert exc.value.code == 2
     assert "error: argument" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _exit_code(argv):
+    """Exit code of the CLI, whether it returns or exits through argparse."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--dt", "nan", "--steps", "100"],
+    ["simulate", "--dt", "inf", "--steps", "100"],
+    ["simulate", "--dt", "1e-3", "--steps", "10"],
+    ["simulate", "--dt", "1e-3", "--steps", "100", "--seed", "-1"],
+    ["sample", "--law", "matrix-dirichlet", "--d", "2", "--dims", "3,3",
+     "--n", "5", "--seed", "-1"],
+    ["verify", "--suite", "scalar", "--seed", "-1"],
+], ids=["dt-nan", "dt-inf", "steps-below-batches", "simulate-seed",
+        "sample-seed", "verify-seed"])
+def test_bad_input_exits_2_with_message(argv, tmp_path, model_file, capsys):
+    out = tmp_path / "out.file"
+    if argv[0] == "simulate":
+        argv = argv + ["--model", model_file]
+    argv = argv + ["--out", str(out)]
+    assert _exit_code(argv) == 2
+    assert "error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_large_seed_accepted(tmp_path):
+    out = tmp_path / "s.csv"
+    assert main(["sample", "--law", "matrix-dirichlet", "--d", "1",
+                 "--dims", "2,2", "--n", "3", "--seed", str(2 ** 70),
+                 "--out", str(out)]) == 0

@@ -94,6 +94,17 @@ def test_domain_test_matches_eigenvalues(n, d, seed, margin, offset):
     assert in_matrix_simplex(y, n, d, margin=margin) == (lam > margin)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_domain_test_rejects_non_finite(bad):
+    # Cholesky does not raise on NaN, so the test must look at x itself
+    assert not in_matrix_simplex(np.full(4, bad), 1, 2)
+    x = point_to_real(MatrixSimplexPoint([np.eye(2) / 3] * 2))
+    for k in range(x.size):
+        y = x.copy()
+        y[k] = bad
+        assert not in_matrix_simplex(y, 2, 2)
+
+
 # -- density ------------------------------------------------------------------
 
 def test_log_density_beta_reduction():

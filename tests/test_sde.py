@@ -188,3 +188,11 @@ def test_config_validation():
         SimConfig(dt=1e-3, n_steps=10, thin=0)
     with pytest.raises(ValueError):
         SimConfig(dt=1e-3, n_steps=10, burn_in=10)
+    # a non-finite dt would run no sub-step (nan) or leave the domain (inf)
+    for dt in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            SimConfig(dt=dt, n_steps=100)
+    # fewer recorded states than batch-means batches
+    with pytest.raises(ValueError, match="batches"):
+        SimConfig(dt=1e-3, n_steps=100, thin=10)
+    SimConfig(dt=1e-3, n_steps=200, thin=10)

@@ -212,6 +212,12 @@ def test_smz_identities_d3_n1(rng):
     assert not failures, "residuals above tolerance: %r" % (failures,)
 
 
+def test_smz_identities_d1(rng):
+    # a single eigenvalue has no gap to test
+    worst, failures = check_frame_identities(1, [2, 3], rng, 2)
+    assert not failures, "residuals above tolerance: %r" % (failures,)
+
+
 def test_sqrt_derivative_fd(rng):
     # closed-form derivative of the matrix square root vs finite differences
     d = 3
