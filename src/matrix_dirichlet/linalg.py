@@ -7,71 +7,14 @@ eigenvector matrix well defined (away from spectral collisions).
 """
 
 import numpy as np
-from scipy.linalg import qr, svd
+from scipy.linalg import qr
 
-from .errors import NotPsdError, SingularError, SpectralGapError
+from .errors import NotPsdError, SpectralGapError
 
 
 def _hermitize(A):
     """Hermitian part of a matrix or of each matrix in a stack."""
     return 0.5 * (A + A.conj().swapaxes(-1, -2))
-
-
-def _jacobi_eigh(H, tol_factor=1e-14, max_sweeps=60):
-    """Cyclic complex Jacobi diagonalization of a Hermitian matrix.
-
-    Returns (eigenvalues, U) unsorted, with H = U diag(w) U*.  Convergence
-    when the off-diagonal Frobenius norm drops below tol_factor * ||H||.
-    """
-    A = np.array(H, dtype=complex)
-    d = A.shape[0]
-    U = np.eye(d, dtype=complex)
-    norm = np.linalg.norm(A)
-    if norm == 0.0:
-        return np.zeros(d), U
-    for _ in range(max_sweeps):
-        # norm of the off-diagonal part, computed directly: the
-        # sqrt(||A||^2 - ||diag||^2) shortcut cancels catastrophically
-        # once the off-diagonal entries are small
-        off = np.linalg.norm(A - np.diag(np.diag(A)))
-        if off < tol_factor * norm:
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                h = A[p, q]
-                if abs(h) < 1e-300:
-                    continue
-                theta = np.angle(h)
-                g = abs(h)
-                a = A[p, p].real
-                b = A[q, q].real
-                tau = (b - a) / (2.0 * g)
-                if abs(tau) > 1e150:
-                    t = 1.0 / (2.0 * tau)
-                else:
-                    t = np.sign(tau) if tau != 0 else 1.0
-                    t /= (abs(tau) + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                # columns of the plane rotation (after absorbing the phase)
-                rp = np.array([c, -s * np.exp(-1j * theta)])
-                rq = np.array([s * np.exp(1j * theta), c])
-                # A <- R* A R on rows/cols p, q
-                cols_p = A[:, p] * rp[0] + A[:, q] * rp[1]
-                cols_q = A[:, p] * rq[0] + A[:, q] * rq[1]
-                A[:, p] = cols_p
-                A[:, q] = cols_q
-                rows_p = A[p, :] * np.conj(rp[0]) + A[q, :] * np.conj(rp[1])
-                rows_q = A[p, :] * np.conj(rq[0]) + A[q, :] * np.conj(rq[1])
-                A[p, :] = rows_p
-                A[q, :] = rows_q
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                up = U[:, p] * rp[0] + U[:, q] * rp[1]
-                uq = U[:, p] * rq[0] + U[:, q] * rq[1]
-                U[:, p] = up
-                U[:, q] = uq
-    return np.diag(A).real.copy(), U
 
 
 def _fix_phases(U):
@@ -129,23 +72,14 @@ class EigenFrame:
         return float(np.min(np.diff(self.lambdas)))
 
 
-def hermitian_eigen(H, gap_tol=1e-8, method="jacobi"):
-    """Deterministic eigen-decomposition of a Hermitian matrix.
-
-    method: "jacobi" (cyclic Jacobi rotations) or "lapack" (numpy eigh).
-    Both share the sorting and phase-fixing conventions and agree to
-    roundoff; see tests for the parity check.
+def hermitian_eigen(H, gap_tol=1e-8):
+    """Deterministic eigen-decomposition of a Hermitian matrix (LAPACK
+    through numpy eigh, then the sorting and phase-fixing conventions).
 
     Raises SpectralGapError when adjacent eigenvalues are closer than
     gap_tol, since the eigenvector matrix is then not smoothly defined.
     """
-    H = np.asarray(H, dtype=complex)
-    if method == "jacobi":
-        w, U = _jacobi_eigh(H)
-    elif method == "lapack":
-        w, U = np.linalg.eigh(H)
-    else:
-        raise ValueError("unknown method %r" % (method,))
+    w, U = np.linalg.eigh(np.asarray(H, dtype=complex))
     order = np.argsort(w)
     w = np.asarray(w)[order]
     U = np.array(U[:, order], dtype=complex)
@@ -167,23 +101,6 @@ def sqrtm_psd(S):
         raise NotPsdError("matrix is not psd (min eigenvalue %.3e)" % np.min(w))
     w = np.clip(w, 0.0, None)
     return _hermitize(U @ np.diag(np.sqrt(w)) @ U.conj().T)
-
-
-def unitary_retract(M, special=False):
-    """Unitary polar factor of a square matrix.
-
-    With special=True the determinant phase is divided out so the result
-    lies in SU(N).
-    """
-    M = np.asarray(M, dtype=complex)
-    u, s, vh = svd(M)
-    if np.min(s) < 1e-12:
-        raise SingularError("smallest singular value %.3e" % np.min(s))
-    Q = u @ vh
-    if special:
-        N = Q.shape[0]
-        Q = Q * np.exp(-1j * np.angle(np.linalg.det(Q)) / N)
-    return Q
 
 
 def haar_unitary(N, rng, special=False):

@@ -43,7 +43,7 @@ class PolarFrame:
         m = np.asarray(m, dtype=complex)
         d = m.shape[0]
         H = m.conj().T @ m
-        eig = hermitian_eigen(H, gap_tol=gap_tol, method="lapack")
+        eig = hermitian_eigen(H, gap_tol=gap_tol)
         scale = max(float(np.max(eig.lambdas)), 1.0)
         if float(np.min(eig.lambdas)) < 1e-12 * scale:
             raise SingularError(
@@ -64,12 +64,6 @@ class PolarFrame:
                 raise SingularError("polar reconstruction failed")
             if np.max(np.abs(self.Z.sum(axis=0) - np.eye(d))) > 1e-10:
                 raise SingularError("projectors do not resolve the identity")
-
-
-def polar_parts(m, gap_tol=1e-8):
-    """Polar and spectral factors of m; raises on singular m or near
-    spectral collisions (all x_i of a unitary m coincide, for instance)."""
-    return PolarFrame(m, gap_tol=gap_tol, check=True)
 
 
 def complex_bm_ambient(d):

@@ -182,17 +182,15 @@ class CplxLayout(Realifier):
         self.real_dim = 2 * m
         self.n_entries = 2 * m
 
+        a = np.arange(m)
         E = np.zeros((2 * m, 2 * m), dtype=complex)
+        E[a, 2 * a] = E[m + a, 2 * a] = 1.0
+        E[a, 2 * a + 1] = 1.0j
+        E[m + a, 2 * a + 1] = -1.0j
         D = np.zeros((2 * m, 2 * m), dtype=complex)
-        for a in range(m):
-            E[a, 2 * a] = 1.0
-            E[a, 2 * a + 1] = 1.0j
-            E[m + a, 2 * a] = 1.0
-            E[m + a, 2 * a + 1] = -1.0j
-            D[2 * a, a] = 0.5
-            D[2 * a, m + a] = 0.5
-            D[2 * a + 1, a] = -0.5j
-            D[2 * a + 1, m + a] = 0.5j
+        D[2 * a, a] = D[2 * a, m + a] = 0.5
+        D[2 * a + 1, a] = -0.5j
+        D[2 * a + 1, m + a] = 0.5j
         self.E = E
         self.D = D
 

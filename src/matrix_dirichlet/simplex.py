@@ -13,6 +13,7 @@ on the sphere, independent one-dimensional square-root processes, and a
 weighted radial/angular product) project onto it.
 """
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -146,49 +147,40 @@ def simplex_gamma_polys(A_rational, n):
 
 
 def _partition_sets(p_sizes):
-    sets = []
-    start = 0
-    for p in p_sizes:
-        sets.append(list(range(start, start + p)))
-        start += p
-    return sets, start
+    starts = np.cumsum([0] + list(p_sizes)).tolist()
+    return [list(range(a, a + p)) for a, p in zip(starts, p_sizes)], starts[-1]
 
 
-def _rotation_pairs(p_sizes, A):
-    """(p, q, weight) triples for the weighted rotation-field generator."""
-    sets, N = _partition_sets(p_sizes)
-    m = len(p_sizes)
-    pairs = []
-    # weight 1/4 per unordered block pair makes the image of the generator
-    # exactly the simplex model with the given A (the squared-sum map doubles
-    # each quadratic field contribution)
-    for i in range(m):
-        for j in range(i + 1, m):
+class _RotationFields:
+    """Weighted rotation fields y_p d_q - y_q d_p across block pairs, as
+    stacked real (F, N, N) matrices R (the field at y is R y) and weights w.
+    Gamma = sum w (R y)(R y)^T and drift = sum w R^2 y, each summed in order
+    over the field axis."""
+
+    def __init__(self, p_sizes, A):
+        self.sets, self.N = _partition_sets(p_sizes)
+        fields = []
+        # weight 1/4 per unordered block pair makes the image of the generator
+        # exactly the simplex model with the given A (the squared-sum map
+        # doubles each quadratic field contribution)
+        for i, j in itertools.combinations(range(len(p_sizes)), 2):
             w = 0.25 * A[i][j]
-            if w == 0.0:
-                continue
-            for p in sets[i]:
-                for q in sets[j]:
-                    pairs.append((p, q, w))
-    return pairs, N
+            if w != 0.0:
+                fields += [(p, q, w) for p, q in
+                           itertools.product(self.sets[i], self.sets[j])]
+        p, q, self.w = np.array(fields).reshape(-1, 3).T
+        p, q, f = p.astype(int), q.astype(int), np.arange(len(fields))
+        self.R = np.zeros((len(fields), self.N, self.N))
+        self.R[f, q, p] = 1.0
+        self.R[f, p, q] = -1.0
+        self.R2 = self.R @ self.R
 
+    def gamma(self, y):
+        v = self.R @ y
+        return (self.w[:, None, None] * (v[:, :, None] * v[:, None, :])).sum(0)
 
-def _rotation_gamma(y, pairs, N):
-    G = np.zeros((N, N))
-    for (p, q, w) in pairs:
-        v = np.zeros(N)
-        v[q] = y[p]
-        v[p] = -y[q]
-        G += w * np.outer(v, v)
-    return G
-
-
-def _rotation_drift(y, pairs, N):
-    b = np.zeros(N)
-    for (p, q, w) in pairs:
-        b[p] -= w * y[p]
-        b[q] -= w * y[q]
-    return b
+    def drift(self, y):
+        return (self.w[:, None] * (self.R2 @ y)).sum(axis=0)
 
 
 def sphere_ambient(p_sizes, A):
@@ -200,21 +192,20 @@ def sphere_ambient(p_sizes, A):
     x_i = sum_{j in I_i} y_j^2, i = 1..n.  Its image is the simplex model
     with the same A and a_i = p_i / 2.
     """
-    pairs, N = _rotation_pairs(p_sizes, A)
-    sets, _ = _partition_sets(p_sizes)
+    rot = _RotationFields(p_sizes, A)
+    sets, N = rot.sets, rot.N
     n = len(p_sizes) - 1
 
     def check(y):
         if abs(np.dot(y, y) - 1.0) > 1e-8:
             raise OffSphereError("|y|^2 = %.6f" % np.dot(y, y))
+        return y
 
     def gamma(y):
-        check(y)
-        return _rotation_gamma(y, pairs, N)
+        return rot.gamma(check(y))
 
     def drift(y):
-        check(y)
-        return _rotation_drift(y, pairs, N)
+        return rot.drift(check(y))
 
     model = DiffusionModel(N, gamma, drift, name="sphere-rotations")
 
@@ -273,8 +264,8 @@ def ou_warped_ambient(p_sizes, A):
     the angular part is (1/4r^2) sum_{i<j} A_ij L_ij.  The projection maps to
     (S = r^2, z_1..z_n) with z_i = x_i / S, x_i = sum_{j in I_i} y_j^2.
     """
-    pairs, N = _rotation_pairs(p_sizes, A)
-    sets, _ = _partition_sets(p_sizes)
+    rot = _RotationFields(p_sizes, A)
+    sets, N = rot.sets, rot.N
     n = len(p_sizes) - 1
 
     def gamma(y):
@@ -282,14 +273,14 @@ def ou_warped_ambient(p_sizes, A):
         r2 = np.dot(y, y)
         if r2 < 1e-12:
             raise DomainError("origin is outside the domain")
-        return np.outer(y, y) / r2 + _rotation_gamma(y, pairs, N) / r2
+        return np.outer(y, y) / r2 + rot.gamma(y) / r2
 
     def drift(y):
         y = np.asarray(y, dtype=float)
         r2 = np.dot(y, y)
         if r2 < 1e-12:
             raise DomainError("origin is outside the domain")
-        return (N - 1.0) * y / r2 - y + _rotation_drift(y, pairs, N) / r2
+        return (N - 1.0) * y / r2 - y + rot.drift(y) / r2
 
     model = DiffusionModel(
         N, gamma, drift,

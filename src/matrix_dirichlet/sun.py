@@ -8,20 +8,26 @@ whose fields act by right multiplication with the algebra elements
 
     E_R = E_ji - E_ij,  E_S = i(E_ij + E_ji),  E_D = i(E_ii - E_jj),
 
-i.e. V_E(u) = u E and V_E^2(u) = u E^2.  Splitting the N columns into n+1
-groups I_1..I_{n+1} and keeping the first d rows, W^(i) = u[:d, I_i] and
-Z^(i) = W^(i) W^(i)* define a point of the matrix simplex; the image of the
-group Laplacian (and of the weighted pair operators L^(pq)) under this
-extraction is the model I diffusion with A_pq = 1/(2N) (resp. the given
-weights) and a_i = d_i - d + 1.
+i.e. V_E(u) = u E and V_E^2(u) = u E^2.  A field list is one stacked
+(F, N, N) tensor of its elements plus (F,) weights; every action is a
+stacked product, summed in order over the field axis.
+
+Splitting the N columns into n+1 groups I_1..I_{n+1} and keeping the first
+d rows, W^(i) = u[:d, I_i] and Z^(i) = W^(i) W^(i)* define a point of the
+matrix simplex; the image of the group Laplacian (and of the weighted pair
+operators L^(pq)) under this extraction is the model I diffusion with
+A_pq = 1/(2N) (resp. the given weights) and a_i = d_i - d + 1.
 """
+
+import functools
+import itertools
 
 import numpy as np
 from scipy.linalg import expm
 
 from .calculus import DiffusionModel, ProjectionMap, check_identity
 from .errors import OffGroupError
-from .linalg import haar_unitary
+from .linalg import _hermitize, haar_unitary
 from .matrix_simplex import (
     MatrixSimplexPoint, Model1Params, drift_model1, gamma_model1,
     simplex_layout)
@@ -51,17 +57,11 @@ class Partition:
         self.N = sum(self.sizes)
         if self.d > self.N:
             raise ValueError("d cannot exceed N")
-        self.sets = []
-        start = 0
-        for s in self.sizes:
-            self.sets.append(list(range(start, start + s)))
-            start += s
+        starts = np.cumsum([0] + self.sizes).tolist()
+        self.sets = [list(range(a, a + s)) for a, s in zip(starts, self.sizes)]
         self.n = len(self.sizes) - 1
         # column membership: group index of each column
-        self.group_of = np.empty(self.N, dtype=int)
-        for g, cols in enumerate(self.sets):
-            for c in cols:
-                self.group_of[c] = g
+        self.group_of = np.repeat(np.arange(self.n + 1), self.sizes)
 
 
 def sun_layout(N):
@@ -132,35 +132,64 @@ def algebra_element(kind, i, j, N):
 
 def casimir_field_list(N):
     """(kind, i, j, weight) for Delta = (1/4N) sum (V_R^2+V_S^2+(2/N)V_D^2)."""
-    out = []
-    wRS = 1.0 / (4.0 * N)
-    wD = 1.0 / (2.0 * N * N)
-    for i in range(N):
-        for j in range(i + 1, N):
-            out.append(("R", i, j, wRS))
-            out.append(("S", i, j, wRS))
-            out.append(("D", i, j, wD))
-    return out
+    return _pair_fields(itertools.combinations(range(N), 2),
+                        1.0 / (4.0 * N), 1.0 / (2.0 * N * N))
 
 
 def lpq_field_list(partition, A):
     """Fields of (1/2) sum_{p<q} A_pq L^(pq) over column-group pairs."""
     A = np.asarray(A, dtype=float)
-    N = partition.N
     out = []
-    m = len(partition.sizes)
-    for p in range(m):
-        for q in range(p + 1, m):
-            if A[p, q] == 0.0:
-                continue
-            wRS = 0.5 * A[p, q]
-            wD = A[p, q] / N
-            for i in partition.sets[p]:
-                for j in partition.sets[q]:
-                    out.append(("R", i, j, wRS))
-                    out.append(("S", i, j, wRS))
-                    out.append(("D", i, j, wD))
+    for p, q in itertools.combinations(range(len(partition.sizes)), 2):
+        if A[p, q] != 0.0:
+            pairs = itertools.product(partition.sets[p], partition.sets[q])
+            out += _pair_fields(pairs, 0.5 * A[p, q], A[p, q] / partition.N)
     return out
+
+
+def _pair_fields(pairs, wRS, wD):
+    """The R, S and D fields of each column pair (i, j), with their weights."""
+    return [(kind, i, j, w) for (i, j) in pairs
+            for (kind, w) in (("R", wRS), ("S", wRS), ("D", wD))]
+
+
+def _field_tensor(fields, N):
+    """The elements of a field list stacked as (F, N, N), and its weights."""
+    E = np.zeros((len(fields), N, N), dtype=complex)
+    for f, (kind, i, j, _) in enumerate(fields):
+        E[f] = algebra_element(kind, i, j, N)
+    return E, np.array([f[3] for f in fields], dtype=float)
+
+
+@functools.cache
+def _step_basis(N):
+    """Read-only Casimir field tensor of SU(N) and the Brownian step's
+    standard deviation along each field: 1/sqrt(2N) on R and S, 1/N on D."""
+    E, _ = _field_tensor(casimir_field_list(N), N)
+    sd = np.tile([1.0 / np.sqrt(2.0 * N), 1.0 / np.sqrt(2.0 * N), 1.0 / N],
+                 len(E) // 3)
+    E.flags.writeable = sd.flags.writeable = False
+    return E, sd
+
+
+def _weighted_outers(w, a, b):
+    """sum_f w_f outer(a_f, b_f), summed in order over the field axis."""
+    return (w[:, None, None] * (a[:, :, None] * b[:, None, :])).sum(axis=0)
+
+
+def _block_actions(partition, u, E):
+    """First and second actions of the stacked fields E on all extracted
+    blocks, each (F, n+1, d, d): u[E, M_p]u* and u[E, [E, M_p]]u* for the
+    diagonal column-group masks M_p."""
+    u = np.asarray(u, dtype=complex)
+    groups = np.arange(len(partition.sizes))[:, None]
+    masks = np.eye(partition.N) * (partition.group_of == groups)[:, None, :]
+    E = E[:, None]
+    C1 = E @ masks - masks @ E
+    C2 = E @ C1 - C1 @ E
+    d = partition.d
+    return ((u @ C1 @ u.conj().T)[..., :d, :d],
+            (u @ C2 @ u.conj().T)[..., :d, :d])
 
 
 def casimir_fields_apply(N, coords, u, fields=None):
@@ -174,30 +203,12 @@ def casimir_fields_apply(N, coords, u, fields=None):
     u = np.asarray(u, dtype=complex)
     if fields is None:
         fields = casimir_field_list(N)
-    out = []
+    E, _ = _field_tensor(fields, N)
     if coords == "entries":
-        for (kind, i, j, w) in fields:
-            E = algebra_element(kind, i, j, N)
-            out.append((kind, i, j, w, u @ E, u @ E @ E))
-        return out
-    partition = coords
-    d = partition.d
-    masks = []
-    for cols in partition.sets:
-        M = np.zeros((N, N))
-        M[cols, cols] = 1.0
-        masks.append(M)
-    for (kind, i, j, w) in fields:
-        E = algebra_element(kind, i, j, N)
-        firsts = np.empty((len(masks), d, d), dtype=complex)
-        seconds = np.empty((len(masks), d, d), dtype=complex)
-        for p, M in enumerate(masks):
-            C1 = E @ M - M @ E
-            C2 = E @ C1 - C1 @ E
-            firsts[p] = (u @ C1 @ u.conj().T)[:d, :d]
-            seconds[p] = (u @ C2 @ u.conj().T)[:d, :d]
-        out.append((kind, i, j, w, firsts, seconds))
-    return out
+        firsts, seconds = u @ E, u @ E @ E
+    else:
+        firsts, seconds = _block_actions(coords, u, E)
+    return [(*f, V, V2) for f, V, V2 in zip(fields, firsts, seconds)]
 
 
 def lemma_first_action(kind, i, j, partition, u):
@@ -209,22 +220,14 @@ def lemma_first_action(kind, i, j, partition, u):
                       (u_ai conj(u_bj) - u_aj conj(u_bi))
     V_D_ij Z^(p)_ab = 0
     """
-    d = partition.d
-    m = len(partition.sizes)
-    out = np.zeros((m, d, d), dtype=complex)
-    if kind == "D":
-        return out
-    ui = u[:d, i]
-    uj = u[:d, j]
+    ui, uj = u[:partition.d, i], u[:partition.d, j]
     if kind == "R":
         base = np.outer(uj, ui.conj()) + np.outer(ui, uj.conj())
+    elif kind == "S":
+        base = 1.0j * (np.outer(uj, ui.conj()) - np.outer(ui, uj.conj()))
     else:
-        base = 1.0j * (np.outer(ui, uj.conj()) - np.outer(uj, ui.conj()))
-    sgn = 1.0 if kind == "R" else -1.0
-    gi, gj = partition.group_of[i], partition.group_of[j]
-    out[gi] += sgn * base
-    out[gj] -= sgn * base
-    return out
+        base = np.zeros((partition.d, partition.d))
+    return _scatter_pair(base, i, j, partition)
 
 
 def lemma_second_action(kind, i, j, partition, u):
@@ -233,50 +236,45 @@ def lemma_second_action(kind, i, j, partition, u):
     V_R^2 and V_S^2 both act as (1_{i in I_p} - 1_{j in I_p}) *
     2 (u_.j conj(u_.j) - u_.i conj(u_.i)); V_D^2 acts as zero.
     """
-    d = partition.d
-    m = len(partition.sizes)
-    out = np.zeros((m, d, d), dtype=complex)
+    ui, uj = u[:partition.d, i], u[:partition.d, j]
     if kind == "D":
-        return out
-    ui = u[:d, i]
-    uj = u[:d, j]
-    base = 2.0 * (np.outer(uj, uj.conj()) - np.outer(ui, ui.conj()))
-    gi, gj = partition.group_of[i], partition.group_of[j]
-    out[gi] += base
-    out[gj] -= base
+        base = np.zeros((partition.d, partition.d))
+    else:
+        base = 2.0 * (np.outer(uj, uj.conj()) - np.outer(ui, ui.conj()))
+    return _scatter_pair(base, i, j, partition)
+
+
+def _scatter_pair(base, i, j, partition):
+    """(n+1, d, d) stack: +base on the block of column i, -base on j's."""
+    out = np.zeros((len(partition.sizes),) + base.shape, dtype=complex)
+    out[partition.group_of[i]] += base
+    out[partition.group_of[j]] -= base
     return out
 
 
 def extract_Z(state, partition):
     u = state.u if isinstance(state, SUNState) else np.asarray(state)
     d = partition.d
-    Zs = []
-    for cols in partition.sets[:-1]:
+    Z = np.empty((partition.n, d, d), dtype=complex)
+    for p, cols in enumerate(partition.sets[:-1]):
         W = u[:d, cols]
-        Z = W @ W.conj().T
-        Zs.append(0.5 * (Z + Z.conj().T))
-    return MatrixSimplexPoint(Zs, check=False)
+        Z[p] = W @ W.conj().T
+    return MatrixSimplexPoint(_hermitize(Z), check=False)
 
 
 def extract_Z_all(u, partition):
     """All n+1 blocks by direct multiplication (for cross-checks)."""
     d = partition.d
-    out = []
-    for cols in partition.sets:
-        W = u[:d, cols]
-        out.append(W @ W.conj().T)
-    return out
+    return [u[:d, cols] @ u[:d, cols].conj().T for cols in partition.sets]
 
 
 def extraction_map(partition):
     """Realified u-entries -> realified free Z blocks."""
-    N = partition.N
-    ulay = sun_layout(N)
+    ulay = sun_layout(partition.N)
     zlay = simplex_layout(partition.n, partition.d)
 
     def F(x):
-        u = ulay.from_real(x)
-        return zlay.to_real(extract_Z(u, partition).Z)
+        return zlay.to_real(extract_Z(ulay.from_real(x), partition).Z)
 
     return ProjectionMap(ulay.real_dim, zlay.real_dim, F, name="block-extract")
 
@@ -286,16 +284,12 @@ def extraction_map(partition):
 def fields_image_entries(u, partition, fields):
     """Entry-space Gamma table and drift of the free blocks under the
     weighted sum of squared fields, computed exactly from uE arithmetic."""
-    n, d = partition.n, partition.d
-    dd = d * d
-    actions = casimir_fields_apply(partition.N, partition, u, fields=fields)
-    T = np.zeros((n * dd, n * dd), dtype=complex)
-    L = np.zeros(n * dd, dtype=complex)
-    for (_, _, _, w, firsts, seconds) in actions:
-        v = firsts[:n].reshape(n * dd)
-        T += w * np.outer(v, v)
-        L += w * seconds[:n].reshape(n * dd)
-    return T, L
+    E, w = _field_tensor(fields, partition.N)
+    firsts, seconds = _block_actions(partition, u, E)
+    n = partition.n
+    v = firsts[:, :n].reshape(len(w), -1)
+    L = (w[:, None] * seconds[:, :n].reshape(len(w), -1)).sum(axis=0)
+    return _weighted_outers(w, v, v), L
 
 
 def lpq_weighted_model(N, partition, A):
@@ -305,28 +299,18 @@ def lpq_weighted_model(N, partition, A):
     A = np.asarray(A, dtype=float)
     if not np.allclose(A, A.T) or np.any(A < 0):
         raise ValueError("weights must be symmetric non-negative")
-    fields = lpq_field_list(partition, A)
+    E, w = _field_tensor(lpq_field_list(partition, A), N)
     layout = sun_layout(N)
-    Esq = np.zeros((N, N), dtype=complex)
-    for (kind, i, j, w) in fields:
-        E = algebra_element(kind, i, j, N)
-        Esq += w * (E @ E)
+    Esq = (w[:, None, None] * (E @ E)).sum(axis=0)
 
     def gamma(x):
-        u = layout.from_real(x)
-        m = N * N
-        Gzz = np.zeros((m, m), dtype=complex)
-        Gzw = np.zeros((m, m), dtype=complex)
-        for (kind, i, j, w) in fields:
-            v = (u @ algebra_element(kind, i, j, N)).ravel()
-            Gzz += w * np.outer(v, v)
-            Gzw += w * np.outer(v, v.conj())
-        return layout.gamma_to_real(layout.assemble_entry_gamma(Gzz, Gzw))
+        v = (layout.from_real(x) @ E).reshape(len(w), N * N)
+        return layout.gamma_to_real(layout.assemble_entry_gamma(
+            _weighted_outers(w, v, v), _weighted_outers(w, v, v.conj())))
 
     def drift(x):
-        u = layout.from_real(x)
-        return layout.drift_to_real(
-            layout.assemble_entry_drift((u @ Esq).ravel()))
+        Lz = (layout.from_real(x) @ Esq).ravel()
+        return layout.drift_to_real(layout.assemble_entry_drift(Lz))
 
     return DiffusionModel(layout.real_dim, gamma, drift,
                           domain_test=lambda x: group_distance(
@@ -355,16 +339,14 @@ def verify_casimir_image(N, partition, rng, n_samples=50,
     params = image_params(partition)
     ulay = sun_layout(N)
 
-    def closed_gamma(x):
-        return gamma_model1(params, extract_Z(ulay.from_real(x), partition))
-
-    def closed_drift(x):
-        return drift_model1(params, extract_Z(ulay.from_real(x), partition))
+    def closed(form):
+        return lambda x: form(params, extract_Z(ulay.from_real(x), partition))
 
     def sampler():
         return ulay.to_real(haar_unitary(N, rng, special=True))
 
-    return check_identity(ambient, F, closed_gamma, closed_drift, sampler,
+    return check_identity(ambient, F, closed(gamma_model1),
+                          closed(drift_model1), sampler,
                           n_samples=n_samples, tol_g=tol_g, tol_l=tol_l,
                           name="sun-extraction")
 
@@ -380,18 +362,11 @@ def sun_brownian_step(state, dt, rng):
     of the group Laplacian (no-1/2 generator convention).
     """
     u = state.u if isinstance(state, SUNState) else np.asarray(state)
-    N = u.shape[0]
     if dt == 0.0:
         return SUNState(u, check=False)
-    sRS = 1.0 / np.sqrt(2.0 * N)
-    sD = 1.0 / N
-    xi = np.zeros((N, N), dtype=complex)
-    for i in range(N):
-        for j in range(i + 1, N):
-            g1, g2, g3 = rng.standard_normal(3)
-            xi += sRS * g1 * algebra_element("R", i, j, N)
-            xi += sRS * g2 * algebra_element("S", i, j, N)
-            xi += sD * g3 * algebra_element("D", i, j, N)
+    E, sd = _step_basis(u.shape[0])
+    coef = sd * rng.standard_normal(len(sd))
+    xi = (coef[:, None, None] * E).sum(axis=0)
     return SUNState(u @ expm(np.sqrt(dt) * xi), check=False)
 
 

@@ -148,7 +148,7 @@ class SMZFrame:
         S = _hermitize(family.W.sum(axis=0))
         if np.min(np.linalg.eigvalsh(S)) <= 0:
             raise NotPsdError("S = sum W must be positive definite")
-        base = hermitian_eigen(S, gap_tol=gap_tol, method="lapack")
+        base = hermitian_eigen(S, gap_tol=gap_tol)
         self.S = S
         self.eig = base.sqrt_frame()          # lambdas = sqrt eigenvalues
         self.lam = self.eig.lambdas
@@ -165,10 +165,6 @@ class SMZFrame:
 
     def z_point(self):
         return MatrixSimplexPoint(self.Z, check=False)
-
-
-def build_smz(family, gap_tol=1e-8):
-    return SMZFrame(family, gap_tol=gap_tol)
 
 
 def smz_stack(n, d):

@@ -10,7 +10,7 @@ from matrix_dirichlet.matrix_simplex import (
 from matrix_dirichlet.polar import (
     PolarFrame, complex_bm_ambient, closed_form_polar_system,
     degenerate_dirichlet_params, diagonal_point_forms, invariance_transport,
-    polar_parts, polar_projection, polar_stack, sample_polar_frame,
+    polar_projection, polar_stack, sample_polar_frame,
     scalar_projection_params, scalar_projection_v)
 from matrix_dirichlet.realify import CplxLayout, HermLayout
 from matrix_dirichlet.simplex import drift_simplex, gamma_simplex, in_simplex
@@ -32,15 +32,15 @@ def test_complex_bm_ambient():
 
 
 def test_polar_parts_examples(rng):
-    fr = polar_parts(np.diag([1.0, 2.0]).astype(complex))
+    fr = PolarFrame(np.diag([1.0, 2.0]).astype(complex))
     np.testing.assert_allclose(fr.V, np.eye(2), atol=1e-12)
     np.testing.assert_allclose(fr.N, np.diag([1.0, 2.0]), atol=1e-12)
     np.testing.assert_allclose(fr.lam, [1.0, 2.0])
     # unitary m: all spectral radii collide
     with pytest.raises(SpectralGapError):
-        polar_parts(np.eye(3, dtype=complex))
+        PolarFrame(np.eye(3, dtype=complex))
     with pytest.raises(SingularError):
-        polar_parts(np.diag([0.0, 2.0]).astype(complex))
+        PolarFrame(np.diag([0.0, 2.0]).astype(complex))
     # random m: reconstruction and projector invariants
     m, fr = sample_polar_frame(3, rng)
     rebuilt = fr.W @ np.diag(fr.lam) @ fr.U.conj().T
@@ -54,7 +54,7 @@ def test_polar_parts_examples(rng):
 
 
 def test_closed_form_hand_values():
-    fr = polar_parts(np.diag([1.0, 2.0]).astype(complex))
+    fr = PolarFrame(np.diag([1.0, 2.0]).astype(complex))
     sys = closed_form_polar_system(fr)
     np.testing.assert_allclose(sys["gamma_lamlam"], np.eye(2))
     # L(x_1) = 1/1 + 4*1/(1 - 4) = -1/3
@@ -63,7 +63,7 @@ def test_closed_form_hand_values():
     assert abs(params.A[0, 1] - 10.0 / 9.0) < 1e-12
     np.testing.assert_allclose(params.a, 0.0)  # 2 - d at d = 2
     assert not params.integrable
-    one = polar_parts(np.array([[1.3 + 0.0j]]))
+    one = PolarFrame(np.array([[1.3 + 0.0j]]))
     assert degenerate_dirichlet_params(one).integrable
 
 

@@ -198,3 +198,58 @@ def test_ou_warped_radius_drift():
     y = np.array([1.0, 0.0, 0.0])
     L = pushforward_generator(model, radius, y)
     np.testing.assert_allclose(L, [1.0], atol=1e-4)
+
+
+def _pair_loop_fields(p_sizes, A):
+    """The rotation fields as the old per-pair loop listed them."""
+    sets, start = [], 0
+    for p in p_sizes:
+        sets.append(list(range(start, start + p)))
+        start += p
+    pairs = []
+    for i in range(len(p_sizes)):
+        for j in range(i + 1, len(p_sizes)):
+            w = 0.25 * A[i][j]
+            if w != 0.0:
+                pairs += [(p, q, w) for p in sets[i] for q in sets[j]]
+    return pairs, start
+
+
+def _pair_loop_gamma_drift(y, pairs, N):
+    G = np.zeros((N, N))
+    b = np.zeros(N)
+    for (p, q, w) in pairs:
+        v = np.zeros(N)
+        v[q] = y[p]
+        v[p] = -y[q]
+        G += w * np.outer(v, v)
+        b[p] -= w * y[p]
+        b[q] -= w * y[q]
+    return G, b
+
+
+@pytest.mark.parametrize("sizes", [(2, 2), (1, 2, 1), (3, 1, 2, 2), (1, 1)])
+def test_rotation_ambients_match_pair_loop(rng, sizes):
+    # the stacked rotation fields give the per-pair loop's Gamma and drift
+    # bit for bit, on the sphere and in the warped product
+    m, N = len(sizes), sum(sizes)
+    A = rng.uniform(0.1, 2.0, (m, m))
+    A = A + A.T
+    np.fill_diagonal(A, 0.0)
+    if m > 2:
+        A[0, 2] = A[2, 0] = 0.0  # a pair without fields
+    pairs, _ = _pair_loop_fields(sizes, A)
+    sphere, _ = sphere_ambient(sizes, A)
+    warped, _ = ou_warped_ambient(sizes, A)
+    for _ in range(10):
+        y = sample_sphere(N, rng)
+        G, b = _pair_loop_gamma_drift(y, pairs, N)
+        assert sphere.gamma(y).tobytes() == G.tobytes()
+        assert sphere.drift(y).tobytes() == b.tobytes()
+        y = 1.7 * rng.standard_normal(N)
+        G, b = _pair_loop_gamma_drift(y, pairs, N)
+        r2 = np.dot(y, y)
+        assert warped.gamma(y).tobytes() == (
+            np.outer(y, y) / r2 + G / r2).tobytes()
+        assert warped.drift(y).tobytes() == (
+            (N - 1.0) * y / r2 - y + b / r2).tobytes()

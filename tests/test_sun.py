@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from matrix_dirichlet.calculus import check_identity
 from matrix_dirichlet.errors import OffGroupError
@@ -7,11 +8,11 @@ from matrix_dirichlet.linalg import haar_unitary
 from matrix_dirichlet.matrix_simplex import (
     drift_model1, drift_model1_entries, gamma_model1, gamma_model1_entries)
 from matrix_dirichlet.sun import (
-    Partition, SUNState, casimir_field_list, casimir_fields_apply,
-    extract_Z, extract_Z_all, extraction_map, fields_image_entries,
-    image_params, lemma_first_action, lemma_second_action, lpq_field_list,
-    lpq_weighted_model, sun_ambient, sun_brownian_step, sun_layout,
-    verify_casimir_image)
+    Partition, SUNState, _step_basis, algebra_element, casimir_field_list,
+    casimir_fields_apply, extract_Z, extract_Z_all, extraction_map,
+    fields_image_entries, image_params, lemma_first_action,
+    lemma_second_action, lpq_field_list, lpq_weighted_model, sun_ambient,
+    sun_brownian_step, sun_layout, verify_casimir_image)
 
 
 def test_sun_ambient_hand_values():
@@ -251,3 +252,62 @@ def test_haar_extraction_first_moment(rng):
         acc += extract_Z(haar_unitary(4, rng, special=True), part).Z[0]
     mean = acc / M
     np.testing.assert_allclose(mean, 0.5 * np.eye(2), atol=4.0 / np.sqrt(M))
+
+
+def _triple_loop_step(u, dt, rng):
+    """The Brownian step as one algebra element per field and draw."""
+    N = u.shape[0]
+    sRS = 1.0 / np.sqrt(2.0 * N)
+    sD = 1.0 / N
+    xi = np.zeros((N, N), dtype=complex)
+    for i in range(N):
+        for j in range(i + 1, N):
+            g1, g2, g3 = rng.standard_normal(3)
+            xi += sRS * g1 * algebra_element("R", i, j, N)
+            xi += sRS * g2 * algebra_element("S", i, j, N)
+            xi += sD * g3 * algebra_element("D", i, j, N)
+    return u @ expm(np.sqrt(dt) * xi)
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_brownian_step_matches_triple_loop(rng, N):
+    # the stacked field basis consumes the same normals and gives the same
+    # path bit for bit, from Id and from a Haar point
+    for u0 in (np.eye(N, dtype=complex), haar_unitary(N, rng, special=True)):
+        seed = int(rng.integers(2**31))
+        fast = np.random.Generator(np.random.Philox(seed))
+        slow = np.random.Generator(np.random.Philox(seed))
+        state, ref = SUNState(u0), u0
+        for _ in range(200):
+            state = sun_brownian_step(state, 1e-3, fast)
+            ref = _triple_loop_step(ref, 1e-3, slow)
+        assert state.u.tobytes() == ref.tobytes()
+        assert fast.standard_normal() == slow.standard_normal()
+
+
+def test_step_basis_is_cached_and_read_only():
+    E, sd = _step_basis(3)
+    assert _step_basis(3)[0] is E
+    assert E.shape == (9, 3, 3) and sd.shape == (9,)
+    for arr in (E, sd):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+@pytest.mark.parametrize("d, sizes", [(2, [3, 1, 4, 2]), (1, [1, 1]),
+                                      (3, [5, 3])])
+def test_partition_matches_loop(d, sizes):
+    part = Partition(d, sizes)
+    sets, start = [], 0
+    for s in sizes:
+        sets.append(list(range(start, start + s)))
+        start += s
+    group_of = np.empty(start, dtype=int)
+    for g, cols in enumerate(sets):
+        for c in cols:
+            group_of[c] = g
+    assert part.sets == sets
+    assert part.N == start and part.n == len(sizes) - 1
+    assert np.array_equal(part.group_of, group_of)
+    assert part.group_of.dtype == group_of.dtype

@@ -12,7 +12,7 @@ from matrix_dirichlet.realify import HermLayout
 from matrix_dirichlet.sde import em_step
 from matrix_dirichlet.verify import check_frame_identities
 from matrix_dirichlet.wishart import (
-    SMZFrame, WishartFamily, build_smz, closed_form_smz_system,
+    SMZFrame, WishartFamily, closed_form_smz_system,
     matrix_ou_ambient, sample_matrix_dirichlet_direct, sample_smz_frame,
     sample_wishart_family, sm_operator, smz_projection, theorem_params,
     wishart_ambient, wishart_grad_log, wishart_layout, wishart_log_density)
@@ -120,18 +120,18 @@ def test_sde_one_step_variance(rng):
 def test_build_smz_examples(rng):
     d = 2
     W = np.array([[2.0, 0.4 - 0.2j], [0.4 + 0.2j, 1.0]])
-    fr = build_smz(WishartFamily([W, W.copy()], [3, 3]))
+    fr = SMZFrame(WishartFamily([W, W.copy()], [3, 3]))
     np.testing.assert_allclose(fr.M[0], 0.5 * np.eye(d), atol=1e-12)
     # random family: Z blocks sum to Id
     fam = sample_wishart_family(d, [3, 4, 3], rng)
-    fr = build_smz(fam)
+    fr = SMZFrame(fam)
     total_M = sum(fr.M) + fr.Ninv @ fam.W[-1] @ fr.Ninv
     np.testing.assert_allclose(total_M, np.eye(d), atol=1e-10)
     point = fr.z_point()
     np.testing.assert_allclose(sum(point.all_blocks()), np.eye(d), atol=1e-10)
     # scalar case: Z = W / S
     fam1 = sample_wishart_family(1, [2, 2], rng)
-    fr1 = build_smz(fam1)
+    fr1 = SMZFrame(fam1)
     s = (fam1.W[0] + fam1.W[1])[0, 0].real
     assert abs(fr1.Z[0][0, 0] - fam1.W[0][0, 0] / s) < 1e-12
 
@@ -139,30 +139,30 @@ def test_build_smz_examples(rng):
 def test_closed_form_hand_values():
     # frame with lambda = (1, 2)
     fam = WishartFamily([np.diag([1.0, 16.0]).astype(complex)], [4.0])
-    fr = build_smz(fam)
+    fr = SMZFrame(fam)
     np.testing.assert_allclose(fr.lam, [1.0, 4.0])
     fam = WishartFamily([np.diag([1.0, 4.0]).astype(complex)], [4.0])
-    fr = build_smz(fam)
+    fr = SMZFrame(fam)
     sys = closed_form_smz_system(fr)
     np.testing.assert_allclose(sys["gamma_lamlam"], np.eye(2))
     # L(lambda_1) at Ntot=4, d=2, lambda=(1,2): 5 - 1 - 4/3
     assert np.isclose(sys["L_lam"][0], 5.0 - 1.0 - 4.0 / 3.0)
     # dN/dS at d=1, S=4: 1/(2 sqrt(S)) = 0.25
     fam1 = WishartFamily([np.array([[4.0]], dtype=complex)], [2.0])
-    sys1 = closed_form_smz_system(build_smz(fam1))
+    sys1 = closed_form_smz_system(SMZFrame(fam1))
     assert np.isclose(sys1["dN_dS"][0, 0].real, 0.25)
 
 
 def test_theorem_params_hand_values():
     fam = WishartFamily([np.diag([1.0, 4.0]).astype(complex)], [4.0])
-    fr = build_smz(fam)
+    fr = SMZFrame(fam)
     params, radial = theorem_params(fr)
     np.testing.assert_allclose(params.A, np.diag([2.0, 0.5]), atol=1e-12)
     assert np.isclose(params.B[0, 1, 0, 1], 10.0 / 9.0)
     assert np.isclose(params.B[0, 0, 0, 0], 1.0)
     # radial drift at Ntot=6, d=2, lambda=(1,2): 9 - 1 - 4/3
     fam6 = WishartFamily([np.diag([1.0, 4.0]).astype(complex)], [6.0])
-    _, radial6 = theorem_params(build_smz(fam6))
+    _, radial6 = theorem_params(SMZFrame(fam6))
     assert np.isclose(radial6[0], 9.0 - 1.0 - 4.0 / 3.0)
 
 
@@ -193,7 +193,7 @@ def test_sm_operator_structure(rng):
     assert np.max(np.abs(op["gamma_MS"])) > 1e-3
     # scalar case: the coupling vanishes identically
     fam1 = sample_wishart_family(1, [2, 2], rng)
-    op1 = sm_operator(build_smz(fam1))
+    op1 = sm_operator(SMZFrame(fam1))
     np.testing.assert_allclose(op1["gamma_MS"], 0.0, atol=1e-14)
 
 
