@@ -25,41 +25,28 @@ import numpy as np
 
 from .errors import DerivativeError, RankDeficientFit
 
+_H = 1e-5   # first-derivative step scale (before the 1 + |x_i| factor)
+_H2 = 1e-3  # step scale of the generator's directional second differences
+
 
 class DiffusionModel:
     """A coordinate chart with co-metric and drift callables."""
 
-    def __init__(self, dim, gamma, drift, domain_test=None, name=""):
+    def __init__(self, dim, gamma, drift, domain_test=None):
         self.dim = dim
         self.gamma = gamma
         self.drift = drift
         self.domain_test = domain_test if domain_test is not None else (lambda x: True)
-        self.name = name
-
-
-class ProjectionMap:
-    """A smooth map from ambient coordinates to derived coordinates."""
-
-    def __init__(self, in_dim, out_dim, eval_fn, name=""):
-        self.in_dim = in_dim
-        self.out_dim = out_dim
-        self._eval = eval_fn
-        self.name = name
-
-    def __call__(self, x):
-        return np.asarray(self._eval(np.asarray(x, dtype=float)), dtype=float)
 
 
 class VerificationReport:
     """Pass/fail record for one identity (or one suite thereof)."""
 
     def __init__(self, name, n_samples, max_abs_residual, tol,
-                 max_rel_residual=None, worst_index=None, details=None):
+                 worst_index=None, details=None):
         self.name = name
         self.n_samples = n_samples
         self.max_abs_residual = float(max_abs_residual)
-        self.max_rel_residual = (None if max_rel_residual is None
-                                 else float(max_rel_residual))
         self.tol = tol
         self.passed = bool(self.max_abs_residual <= tol)
         self.worst_index = worst_index
@@ -104,7 +91,7 @@ def _central_difference(f, x, h, domain_test):
     return np.array(out)
 
 
-def jacobian(F, x, h=1e-5, domain_test=None):
+def jacobian(F, x, h=_H, domain_test=None):
     """Central-difference Jacobian with per-coordinate scaled steps."""
     return np.ascontiguousarray(
         _central_difference(F, x, h, domain_test).reshape(np.size(x), -1).T)
@@ -128,29 +115,27 @@ def _directional_second(F, x, v, h, domain_test, f0):
     raise DerivativeError("directional stencil leaves the domain")
 
 
-def pushforward_gamma(ambient, F, x, h=1e-5):
+def pushforward_gamma(ambient, F, x):
     """J Gamma J^T: the co-metric of the image coordinates at F(x)."""
-    J = jacobian(F, x, h=h, domain_test=ambient.domain_test)
+    J = jacobian(F, x, domain_test=ambient.domain_test)
     return J @ ambient.gamma(x) @ J.T
 
 
-def pushforward_generator(ambient, F, x, h=1e-5, h2=1e-3, return_jacobian=False):
+def pushforward_generator(ambient, F, x):
     """J b + sum_ij G_ij d2_ij F: the drift of the image coordinates."""
     x = np.asarray(x, dtype=float)
-    J = jacobian(F, x, h=h, domain_test=ambient.domain_test)
+    J = jacobian(F, x, domain_test=ambient.domain_test)
     out = J @ np.asarray(ambient.drift(x))
     G = np.asarray(ambient.gamma(x))
     w, V = np.linalg.eigh(0.5 * (G + G.T))
     cutoff = 1e-13 * max(np.max(np.abs(w)), 1.0)
     f0 = np.asarray(F(x))
-    step = h2 * (1.0 + float(np.max(np.abs(x))))
+    step = _H2 * (1.0 + float(np.max(np.abs(x))))
     for m in range(w.size):
         if abs(w[m]) <= cutoff:
             continue
         d2 = _directional_second(F, x, V[:, m], step, ambient.domain_test, f0)
         out = out + w[m] * d2
-    if return_jacobian:
-        return out, J
     return out
 
 
@@ -192,20 +177,20 @@ def check_identity(ambient, F, closed_gamma, closed_drift, sampler,
     return rep
 
 
-def reversibility_residual(model, grad_log_density, x, h=1e-5):
+def reversibility_residual(model, grad_log_density, x):
     """b - div(g) - g grad(log rho); zero iff rho is reversible for L."""
     x = np.asarray(x, dtype=float)
     G = np.asarray(model.gamma(x))
     b = np.asarray(model.drift(x))
     # divergence of the co-metric: sum_j d_j Gamma[:, j]
-    dG = _central_difference(model.gamma, x, h, model.domain_test)
+    dG = _central_difference(model.gamma, x, _H, model.domain_test)
     div = sum(dG[j][:, j] for j in range(model.dim))
     return b - div - G @ np.asarray(grad_log_density(x))
 
 
-def grad_log_numeric(log_f, x, h=1e-6, domain_test=None):
+def grad_log_numeric(log_f, x, domain_test=None):
     """Central-difference gradient of a scalar log-function."""
-    return _central_difference(log_f, x, h, domain_test)
+    return _central_difference(log_f, x, 1e-6, domain_test)
 
 
 def check_boundary_affine_numeric(model, P_eval, sampler, n_samples=None,

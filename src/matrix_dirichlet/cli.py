@@ -32,24 +32,6 @@ def _cmd_verify(args):
     return 0 if report["pass"] else 1
 
 
-def _layout_names(n, d):
-    # column names in the realified layout order: per block, diagonal
-    # entries first, then (Re, Im) pairs of the upper triangle
-    layout = simplex_layout(n, d)
-    names = ["c%d" % i for i in range(layout.real_dim)]
-    idx = 0
-    for k in range(n):
-        for i in range(d):
-            names[idx] = "Z%d_d%d" % (k + 1, i)
-            idx += 1
-        for i in range(d):
-            for j in range(i + 1, d):
-                names[idx] = "Z%d_re%d%d" % (k + 1, i, j)
-                names[idx + 1] = "Z%d_im%d%d" % (k + 1, i, j)
-                idx += 2
-    return names
-
-
 def _cmd_simulate(args, parser):
     if not 0 < args.dt < np.inf:
         parser.error("dt must be positive and finite")
@@ -94,7 +76,8 @@ def _cmd_simulate(args, parser):
             print("  proposal: %s" % np.array2string(exc.proposal),
                   file=sys.stderr)
         return 1
-    write_path_csv(summary, args.out, names=_layout_names(n, d))
+    write_path_csv(summary, args.out,
+                   names=simplex_layout(n, d).coordinate_names())
     print("wrote %d states to %s (rejection fraction %.2e)"
           % (summary.count, args.out, summary.rejection_fraction))
     return 0
@@ -110,12 +93,11 @@ def _cmd_sample(args, parser):
     d = args.d
     n = len(dims) - 1
     rng = np.random.Generator(np.random.Philox(args.seed))
-    layout = simplex_layout(n, d)
     with open(args.out, "w", newline="") as fh:
         fh.write("# law: matrix-dirichlet d=%d dims=%s seed=%d\n"
                  % (d, ",".join(str(r) for r in dims), args.seed))
         writer = csv.writer(fh)
-        writer.writerow(_layout_names(n, d))
+        writer.writerow(simplex_layout(n, d).coordinate_names())
         for _ in range(args.n):
             point = sample_matrix_dirichlet_direct(d, dims, rng)
             row = point_to_real(point)

@@ -33,7 +33,7 @@ from .realify import simplex_layout
 class MatrixSimplexPoint:
     """n Hermitian psd matrices with Id - sum also psd."""
 
-    def __init__(self, Z_list, check=True, tol=1e-12):
+    def __init__(self, Z_list, check=True):
         try:
             free = np.asarray(Z_list, dtype=complex)
         except ValueError:
@@ -46,9 +46,9 @@ class MatrixSimplexPoint:
             for Z in self.Z:
                 if np.max(np.abs(Z - Z.conj().T)) > 1e-10:
                     raise DomainError("matrix is not Hermitian")
-                if np.min(np.linalg.eigvalsh(0.5 * (Z + Z.conj().T))) < -tol:
+                if np.min(np.linalg.eigvalsh(0.5 * (Z + Z.conj().T))) < -1e-12:
                     raise DomainError("matrix is not psd")
-            if np.min(np.linalg.eigvalsh(self.last())) < -tol:
+            if np.min(np.linalg.eigvalsh(self.last())) < -1e-12:
                 raise DomainError("Id - sum Z is not psd")
 
     def last(self):
@@ -122,10 +122,10 @@ def sample_matrix_dirichlet_direct(d, dims, rng):
     return MatrixSimplexPoint(0.5 * (Z + Z.conj().swapaxes(1, 2)), check=False)
 
 
-def sample_interior(n, d, rng, dof=None, margin=1e-6):
+def sample_interior(n, d, rng, margin=1e-6):
     """Random point at least margin inside: a matrix Dirichlet draw with
-    every Wishart degree dof (default d + 1), redrawn until inside."""
-    dims = [dof if dof is not None else d + 1] * (n + 1)
+    every Wishart degree d + 1, redrawn until inside."""
+    dims = [d + 1] * (n + 1)
     while True:
         point = sample_matrix_dirichlet_direct(d, dims, rng)
         if in_matrix_simplex(point_to_real(point), n, d, margin=margin):
@@ -229,7 +229,7 @@ def drift_model1(params, point):
     return layout.drift_to_real(drift_model1_entries(params, point))
 
 
-def model1(params, d, margin=1e-12):
+def model1(params, d):
     n = params.n
     layout = simplex_layout(n, d)
 
@@ -240,31 +240,7 @@ def model1(params, d, margin=1e-12):
         return drift_model1(params, real_to_point(x, n, d))
 
     return DiffusionModel(layout.real_dim, gamma, drift,
-                          domain_test=lambda x: in_matrix_simplex(
-                              x, n, d, margin=margin),
-                          name="matrix-dirichlet-I")
-
-
-def _support_components(A):
-    """Connected components of the off-diagonal support graph of A."""
-    m = A.shape[0]
-    seen = [False] * m
-    comps = []
-    for start in range(m):
-        if seen[start]:
-            continue
-        stack = [start]
-        comp = []
-        seen[start] = True
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in range(m):
-                if w != v and not seen[w] and abs(A[v, w]) > 0:
-                    seen[w] = True
-                    stack.append(w)
-        comps.append(sorted(comp))
-    return comps
+                          domain_test=lambda x: in_matrix_simplex(x, n, d))
 
 
 def ellipticity_model1(params, d, sampler, n_samples=20):
@@ -280,13 +256,15 @@ def ellipticity_model1(params, d, sampler, n_samples=20):
     layout = simplex_layout(n, d)
     if np.any(A < 0):
         return False, None
-    comps = _support_components(A)
-    if len(comps) > 1:
-        # null direction: test matrices Id on every component not containing
-        # the last index, zero elsewhere
-        last_comp = next(c for c in comps if n in c)
+    # blocks joined to the last one through positive weights
+    reach = np.arange(n + 1) == n
+    for _ in range(n):
+        reach |= (A[reach] > 0).any(axis=0)
+    if not reach.all():
+        # null direction: test matrices Id on every block not joined to
+        # the last one, zero elsewhere
         g = np.zeros((n, d, d), dtype=complex)
-        g[[p for p in range(n) if p not in last_comp]] = np.eye(d)
+        g[~reach[:n]] = np.eye(d)
         witness = layout.grad_to_real(g.reshape(-1))
         return False, witness
     for _ in range(n_samples):
@@ -378,7 +356,7 @@ def drift_model2(params, point):
     return layout.drift_to_real(drift_model2_entries(params, point))
 
 
-def model2(params, n, margin=1e-12):
+def model2(params, n):
     d = params.d
     layout = simplex_layout(n, d)
 
@@ -389,9 +367,7 @@ def model2(params, n, margin=1e-12):
         return drift_model2(params, real_to_point(x, n, d))
 
     return DiffusionModel(layout.real_dim, gamma, drift,
-                          domain_test=lambda x: in_matrix_simplex(
-                              x, n, d, margin=margin),
-                          name="matrix-dirichlet-II")
+                          domain_test=lambda x: in_matrix_simplex(x, n, d))
 
 
 # -- spectrum identity --------------------------------------------------------

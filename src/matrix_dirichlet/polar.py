@@ -23,7 +23,7 @@ diagonal phase (H, N, x, Z) need no alignment.
 
 import numpy as np
 
-from .calculus import DiffusionModel, ProjectionMap
+from .calculus import DiffusionModel
 from .errors import MatrixDirichletError, SingularError
 from .linalg import _align_phases, _hermitize, hermitian_eigen
 from .realify import CoordStack, CplxLayout, HermLayout, RealLayout
@@ -39,11 +39,11 @@ class PolarFrame:
     the first d-1).
     """
 
-    def __init__(self, m, gap_tol=1e-8, check=True):
+    def __init__(self, m, check=True):
         m = np.asarray(m, dtype=complex)
         d = m.shape[0]
         H = m.conj().T @ m
-        eig = hermitian_eigen(H, gap_tol=gap_tol)
+        eig = hermitian_eigen(H)
         scale = max(float(np.max(eig.lambdas)), 1.0)
         if float(np.min(eig.lambdas)) < 1e-12 * scale:
             raise SingularError(
@@ -76,8 +76,7 @@ def complex_bm_ambient(d):
     dim = layout.real_dim
     G = np.eye(dim)
     b = np.zeros(dim)
-    return DiffusionModel(dim, gamma=lambda x: G, drift=lambda x: b,
-                          name="complex-bm")
+    return DiffusionModel(dim, gamma=lambda x: G, drift=lambda x: b)
 
 
 def polar_stack(d):
@@ -93,7 +92,7 @@ def polar_stack(d):
     ])
 
 
-def polar_projection(d, gap_tol=1e-8, base_frame=None):
+def polar_projection(d, base_frame=None):
     """Realified m-coordinates -> stacked real coordinates of the frame.
 
     With base_frame given, the eigenvector columns (and through W = V U
@@ -106,15 +105,14 @@ def polar_projection(d, gap_tol=1e-8, base_frame=None):
     base_U = None if base_frame is None else np.asarray(base_frame.U)
 
     def F(x):
-        fr = PolarFrame(layout.from_real(x), gap_tol=gap_tol, check=False)
+        fr = PolarFrame(layout.from_real(x), check=False)
         U = fr.U if base_U is None else _align_phases(fr.U, base_U)
         W = fr.V @ U
         return stack.pack({
             "H": [fr.H], "N": [fr.N], "lam": fr.lam,
             "U": U, "V": fr.V, "W": W, "Z": fr.Z[:d - 1]})
 
-    return ProjectionMap(layout.real_dim, stack.real_dim, F,
-                         name="polar-frame"), stack
+    return F, stack
 
 
 def _r_matrix(x):
@@ -314,20 +312,20 @@ def scalar_projection_params(frame):
     return ScalarModelParams(2.0 * r, np.ones(frame.d))
 
 
-def sample_polar_frame(d, rng, gap_min=0.25, x_min=0.3, max_tries=200):
-    """Ginibre matrix conditioned on well-separated, not-too-small
-    spectral radii (finite differences of the frame amplify as inverse
-    gaps).  Returns (m, frame)."""
-    for _ in range(max_tries):
+def sample_polar_frame(d, rng):
+    """Ginibre matrix conditioned on spectral radii at least 0.3 and gaps
+    at least 0.25 (finite differences of the frame amplify as inverse
+    gaps), within 200 tries.  Returns (m, frame)."""
+    for _ in range(200):
         m = (rng.standard_normal((d, d))
              + 1j * rng.standard_normal((d, d)))
         try:
             fr = PolarFrame(m, check=False)
         except (MatrixDirichletError, np.linalg.LinAlgError):
             continue
-        if np.min(fr.lam) < x_min:
+        if np.min(fr.lam) < 0.3:
             continue
-        if d > 1 and np.min(np.diff(fr.lam)) < gap_min:
+        if d > 1 and np.min(np.diff(fr.lam)) < 0.25:
             continue
         return m, fr
-    raise RuntimeError("no valid frame in %d tries" % max_tries)
+    raise RuntimeError("no valid frame in 200 tries")

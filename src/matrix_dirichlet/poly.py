@@ -132,17 +132,6 @@ class MultiPoly:
                 f = f - mono
         return q, r
 
-    def eval(self, values):
-        """values: dict name -> number; returns a number."""
-        total = 0
-        for e, c in self.terms.items():
-            term = c
-            for name, p in zip(self.variables, e):
-                if p:
-                    term = term * values[name] ** p
-            total = total + term
-        return total
-
     def __repr__(self):
         if not self.terms:
             return "0"

@@ -39,14 +39,9 @@ class Realifier:
     E = None
     D = None
 
-    def gamma_to_real(self, T, other=None):
-        """Real co-metric block from an entry-space Gamma table.
-
-        With ``other`` given, converts a cross block Gamma(entries_self,
-        entries_other) into Gamma(x_self, x_other).
-        """
-        other = self if other is None else other
-        return (self.D @ np.asarray(T) @ other.D.T).real
+    def gamma_to_real(self, T):
+        """Real co-metric from an entry-space Gamma table."""
+        return (self.D @ np.asarray(T) @ self.D.T).real
 
     def gamma_to_entries(self, G, other=None):
         """Entry-space Gamma table from a real co-metric block."""
@@ -145,6 +140,17 @@ class HermLayout(Realifier):
 
     def im_index(self, k, i, j):
         return k * self.block + self.d + 2 * self._pair_pos[(i, j)] + 1
+
+    def coordinate_names(self):
+        """Names of the real coordinates in layout order: Zk_di for the
+        diagonal entries, then Zk_reij and Zk_imij for each pair i < j
+        (k counts blocks from 1)."""
+        names = []
+        for k in range(1, self.n + 1):
+            names += ["Z%d_d%d" % (k, i) for i in range(self.d)]
+            for i, j in self.pairs:
+                names += ["Z%d_re%d%d" % (k, i, j), "Z%d_im%d%d" % (k, i, j)]
+        return names
 
     def to_real(self, Z_list):
         """Real coordinates of n Hermitian blocks (a list or an (n, d, d)

@@ -25,6 +25,7 @@ from .calculus import DiffusionModel
 from .errors import NotPsdError, StepRejectedError
 
 _N_BATCHES = 20  # batch-means batches of every simulated path
+_MAX_STEP_RETRIES = 8  # halvings of one sub-step before a path fails
 
 
 class SimConfig:
@@ -34,14 +35,11 @@ class SimConfig:
     batch-means batches.
     """
 
-    def __init__(self, dt, n_steps, thin=1, seed=0, max_step_retries=8,
-                 burn_in=0):
+    def __init__(self, dt, n_steps, thin=1, seed=0, burn_in=0):
         if not 0 < dt < np.inf:
             raise ValueError("dt must be positive and finite, got %r" % dt)
         if thin < 1:
             raise ValueError("thin must be >= 1")
-        if max_step_retries < 0:
-            raise ValueError("max_step_retries must be >= 0")
         if not (0 <= burn_in < n_steps):
             raise ValueError("burn_in must lie in [0, n_steps)")
         count = (n_steps - burn_in) // thin
@@ -52,12 +50,11 @@ class SimConfig:
         self.n_steps = int(n_steps)
         self.thin = int(thin)
         self.seed = int(seed)
-        self.max_step_retries = int(max_step_retries)
         self.burn_in = int(burn_in)
 
     def to_dict(self):
         return {"dt": self.dt, "n_steps": self.n_steps, "thin": self.thin,
-                "seed": self.seed, "max_step_retries": self.max_step_retries,
+                "seed": self.seed, "max_step_retries": _MAX_STEP_RETRIES,
                 "burn_in": self.burn_in}
 
 
@@ -156,15 +153,12 @@ class PathSummary:
         self.config = config
         self.states = states
         nb = batch_means.shape[0]
-        self.n_batches = nb
         var_bm = np.var(batch_means, axis=0, ddof=1)
         self.se_mean = np.sqrt(var_bm / nb)
         var_x = np.clip(np.diag(self.cov), 1e-300, None)
-        bs = count // nb
         with np.errstate(divide="ignore"):
             self.ess = np.minimum(count, var_x / np.clip(
                 var_bm, 1e-300, None) * nb)
-        self.batch_size = bs
 
     @property
     def rejection_fraction(self):
@@ -193,8 +187,7 @@ def simulate(model, x0, config, record=False):
     n_rej = 0
     recorded = 0
     for step in range(config.n_steps):
-        x, rej = _em_chain(model, x, config.dt, rng,
-                           config.max_step_retries)
+        x, rej = _em_chain(model, x, config.dt, rng, _MAX_STEP_RETRIES)
         n_rej += rej
         k = step - config.burn_in
         if k >= 0 and (k + 1) % config.thin == 0 and recorded < count:
@@ -236,26 +229,26 @@ def ou_model():
     """L = d^2/dx^2 - x d/dx; stationary law N(0, 1)."""
     return DiffusionModel(
         1, gamma=lambda x: np.array([[1.0]]),
-        drift=lambda x: -np.asarray(x), name="ou")
+        drift=lambda x: -np.asarray(x))
 
 
 def ou_grad_log(x):
     return -np.asarray(x)
 
 
-def laguerre_model(a, margin=1e-12):
+def laguerre_model(a):
     """L = x d^2/dx^2 + (a - x) d/dx on (0, inf); stationary gamma(a)."""
     return DiffusionModel(
         1, gamma=lambda x: np.array([[x[0]]]),
         drift=lambda x: np.array([a - x[0]]),
-        domain_test=lambda x: x[0] > margin, name="laguerre")
+        domain_test=lambda x: x[0] > 1e-12)
 
 
 def laguerre_grad_log(a, x):
     return np.array([(a - 1.0) / x[0] - 1.0])
 
 
-def jacobi_model(a, b, margin=1e-12):
+def jacobi_model(a, b):
     """L = (1 - x^2) d^2/dx^2 - (a - b + (a + b) x) d/dx on (-1, 1).
 
     Stationary density proportional to (1-x)^(a-1) (1+x)^(b-1).
@@ -263,7 +256,7 @@ def jacobi_model(a, b, margin=1e-12):
     return DiffusionModel(
         1, gamma=lambda x: np.array([[1.0 - x[0] ** 2]]),
         drift=lambda x: np.array([-(a - b + (a + b) * x[0])]),
-        domain_test=lambda x: abs(x[0]) < 1.0 - margin, name="jacobi")
+        domain_test=lambda x: abs(x[0]) < 1.0 - 1e-12)
 
 
 def jacobi_grad_log(a, b, x):

@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import gammaln
 
-from .calculus import DiffusionModel, ProjectionMap
+from .calculus import DiffusionModel
 from .errors import DomainError, OffSphereError
 from .poly import MultiPoly
 
@@ -86,8 +86,7 @@ def scalar_model(params, margin=1e-12):
         params.n,
         gamma=lambda x: gamma_simplex(params, x),
         drift=lambda x: drift_simplex(params, x),
-        domain_test=lambda x: in_simplex(x, margin=margin),
-        name="scalar-dirichlet")
+        domain_test=lambda x: in_simplex(x, margin=margin))
 
 
 def dirichlet_log_density(a, x):
@@ -207,13 +206,13 @@ def sphere_ambient(p_sizes, A):
     def drift(y):
         return rot.drift(check(y))
 
-    model = DiffusionModel(N, gamma, drift, name="sphere-rotations")
+    model = DiffusionModel(N, gamma, drift)
 
     def project(y):
         return np.array([np.sum(np.asarray(y)[sets[i]] ** 2)
                          for i in range(n)])
 
-    return model, ProjectionMap(N, n, project, name="squared-sums")
+    return model, project
 
 
 def sample_sphere(N, rng):
@@ -245,15 +244,14 @@ def laguerre_ambient(a):
         return a - np.asarray(y, dtype=float)
 
     model = DiffusionModel(m, gamma, drift,
-                           domain_test=lambda y: bool(np.all(np.asarray(y) > 0)),
-                           name="laguerre-product")
+                           domain_test=lambda y: bool(np.all(np.asarray(y) > 0)))
 
     def project(y):
         y = np.asarray(y, dtype=float)
         S = np.sum(y)
         return np.concatenate([[S], y[:n] / S])
 
-    return model, ProjectionMap(m, n + 1, project, name="sum-and-ratios")
+    return model, project
 
 
 def ou_warped_ambient(p_sizes, A):
@@ -284,8 +282,7 @@ def ou_warped_ambient(p_sizes, A):
 
     model = DiffusionModel(
         N, gamma, drift,
-        domain_test=lambda y: bool(np.dot(y, y) > 1e-12),
-        name="ou-warped")
+        domain_test=lambda y: bool(np.dot(y, y) > 1e-12))
 
     def project(y):
         y = np.asarray(y, dtype=float)
@@ -293,4 +290,4 @@ def ou_warped_ambient(p_sizes, A):
         xs = np.array([np.sum(y[sets[i]] ** 2) for i in range(n)])
         return np.concatenate([[S], xs / S])
 
-    return model, ProjectionMap(N, n + 1, project, name="radius-and-ratios")
+    return model, project

@@ -25,7 +25,7 @@ import itertools
 import numpy as np
 from scipy.linalg import expm
 
-from .calculus import DiffusionModel, ProjectionMap, check_identity
+from .calculus import DiffusionModel, check_identity
 from .errors import OffGroupError
 from .linalg import _hermitize, haar_unitary
 from .matrix_simplex import (
@@ -73,7 +73,7 @@ def group_distance(u):
     return float(np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))))
 
 
-def sun_ambient(N, group_tol=1e-3):
+def sun_ambient(N):
     """Closed-form co-metric and drift of group Brownian motion.
 
         Gamma(u_ij, u_kl)      = -(1/2N) u_il u_kj + (1/2N^2) u_ij u_kl
@@ -81,7 +81,7 @@ def sun_ambient(N, group_tol=1e-3):
                                   - (1/2N^2) u_ij conj(u_kl)
         L(u_ij)                = -((N^2-1)/2N^2) u_ij
 
-    over the realified entries.  Points farther than group_tol from the
+    over the realified entries.  Points farther than 1e-3 from the
     group raise OffGroupError (the tolerance leaves room for the finite
     difference stencils of the pushforward engine).
     """
@@ -91,7 +91,7 @@ def sun_ambient(N, group_tol=1e-3):
 
     def gamma(x):
         u = layout.from_real(x)
-        if group_distance(u) > group_tol:
+        if group_distance(u) > 1e-3:
             raise OffGroupError("point is not on the group")
         Gzz = (-c1 * np.einsum("il,kj->ijkl", u, u)
                + c2 * np.einsum("ij,kl->ijkl", u, u)).reshape(N * N, N * N)
@@ -101,15 +101,14 @@ def sun_ambient(N, group_tol=1e-3):
 
     def drift(x):
         u = layout.from_real(x)
-        if group_distance(u) > group_tol:
+        if group_distance(u) > 1e-3:
             raise OffGroupError("point is not on the group")
         Lz = -((N * N - 1.0) / (2.0 * N * N)) * u.ravel()
         return layout.drift_to_real(layout.assemble_entry_drift(Lz))
 
     return DiffusionModel(layout.real_dim, gamma, drift,
                           domain_test=lambda x: group_distance(
-                              layout.from_real(x)) < 1e-2,
-                          name="sun-brownian")
+                              layout.from_real(x)) < 1e-2)
 
 
 # -- algebra elements and exact field actions ---------------------------------
@@ -276,7 +275,7 @@ def extraction_map(partition):
     def F(x):
         return zlay.to_real(extract_Z(ulay.from_real(x), partition).Z)
 
-    return ProjectionMap(ulay.real_dim, zlay.real_dim, F, name="block-extract")
+    return F
 
 
 # -- image operators from exact field arithmetic ------------------------------
@@ -314,8 +313,7 @@ def lpq_weighted_model(N, partition, A):
 
     return DiffusionModel(layout.real_dim, gamma, drift,
                           domain_test=lambda x: group_distance(
-                              layout.from_real(x)) < 1e-2,
-                          name="lpq-weighted")
+                              layout.from_real(x)) < 1e-2)
 
 
 def image_params(partition, A=None):

@@ -19,7 +19,7 @@ the generic pushforward engine can verify each one.
 
 import numpy as np
 
-from .calculus import DiffusionModel, ProjectionMap
+from .calculus import DiffusionModel
 from .errors import DomainError, MatrixDirichletError, NotPsdError
 from .linalg import _align_phases, _hermitize, hermitian_eigen
 from .matrix_simplex import (  # noqa: F401 (the direct sampler is re-exported)
@@ -71,8 +71,7 @@ def wishart_ambient(d, dims):
     def domain(x):
         return np.min(np.linalg.eigvalsh(layout.from_real(x))) > -1e-9
 
-    return DiffusionModel(layout.real_dim, gamma, drift, domain_test=domain,
-                          name="wishart-family")
+    return DiffusionModel(layout.real_dim, gamma, drift, domain_test=domain)
 
 
 def matrix_ou_ambient(d, m):
@@ -87,7 +86,7 @@ def matrix_ou_ambient(d, m):
     def drift(x):
         return -np.asarray(x, dtype=float)
 
-    model = DiffusionModel(layout.real_dim, gamma, drift, name="matrix-ou")
+    model = DiffusionModel(layout.real_dim, gamma, drift)
 
     wlay = wishart_layout(1, d)
 
@@ -96,8 +95,7 @@ def matrix_ou_ambient(d, m):
         W = Y @ Y.conj().T
         return wlay.to_real([0.5 * (W + W.conj().T)])
 
-    return model, ProjectionMap(layout.real_dim, wlay.real_dim, project,
-                                name="gram-matrix"), layout
+    return model, project, layout
 
 
 def wishart_log_density(dims, W_list):
@@ -181,7 +179,7 @@ def smz_stack(n, d):
     ])
 
 
-def smz_projection(d, dims, gap_tol=1e-8, base_frame=None):
+def smz_projection(d, dims, base_frame=None):
     """Realified W-coordinates -> stacked real coordinates of the frame.
 
     With base_frame given, the unitary factor is phase-aligned against the
@@ -201,7 +199,7 @@ def smz_projection(d, dims, gap_tol=1e-8, base_frame=None):
 
     def F(x):
         family = WishartFamily(wlay.from_real(x), dims, check=False)
-        fr = SMZFrame(family, gap_tol=gap_tol)
+        fr = SMZFrame(family)
         U, Z = fr.U, fr.Z
         if base_U is not None:
             U = _align_phases(U, base_U)
@@ -210,8 +208,7 @@ def smz_projection(d, dims, gap_tol=1e-8, base_frame=None):
             "W": family.W, "S": [fr.S], "lam": fr.lam, "N": [fr.Nmat],
             "Ninv": [fr.Ninv], "M": fr.M, "U": U, "Z": Z})
 
-    return ProjectionMap(wlay.real_dim, stack.real_dim, F,
-                         name="smz-frame"), stack
+    return F, stack
 
 
 # -- closed forms -------------------------------------------------------------
@@ -435,18 +432,19 @@ def sm_operator(frame):
     }
 
 
-def sample_smz_frame(d, dims, rng, gap_min=0.25, pivot_min=0.05,
-                     max_tries=200):
-    """Stationary family draw with a well-separated, FD-friendly frame."""
-    for _ in range(max_tries):
+def sample_smz_frame(d, dims, rng):
+    """Stationary family draw with a well-separated, FD-friendly frame:
+    radial gaps at least 0.25 and |diag U| at least 0.05, within 200
+    tries."""
+    for _ in range(200):
         family = sample_wishart_family(d, dims, rng)
         try:
             fr = SMZFrame(family, gap_tol=1e-10)
         except (MatrixDirichletError, np.linalg.LinAlgError):
             continue
-        if d > 1 and np.min(np.diff(fr.lam)) < gap_min:
+        if d > 1 and np.min(np.diff(fr.lam)) < 0.25:
             continue
-        if np.min(np.abs(np.diag(fr.U))) < pivot_min:
+        if np.min(np.abs(np.diag(fr.U))) < 0.05:
             continue
         return family, fr
     raise RuntimeError("could not sample a well-separated frame")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from matrix_dirichlet.calculus import (
-    DiffusionModel, ProjectionMap, check_boundary_affine_numeric,
+    DiffusionModel, check_boundary_affine_numeric,
     check_identity, jacobian, pushforward_gamma, pushforward_generator,
     reversibility_residual)
 from matrix_dirichlet.errors import RankDeficientFit
@@ -12,7 +12,7 @@ from matrix_dirichlet.simplex import (
 
 def ou_model():
     return DiffusionModel(1, gamma=lambda x: np.array([[1.0]]),
-                          drift=lambda x: -np.asarray(x), name="ou")
+                          drift=lambda x: -np.asarray(x))
 
 
 def jacobi_model(a, b):
@@ -21,19 +21,18 @@ def jacobi_model(a, b):
         1,
         gamma=lambda x: np.array([[1.0 - x[0] ** 2]]),
         drift=lambda x: np.array([-(a - b + (a + b) * x[0])]),
-        domain_test=lambda x: abs(x[0]) < 1.0,
-        name="jacobi")
+        domain_test=lambda x: abs(x[0]) < 1.0)
 
 
 def test_pushforward_gamma_square():
-    F = ProjectionMap(1, 1, lambda x: x ** 2)
+    F = lambda x: x ** 2
     amb = DiffusionModel(1, lambda x: np.array([[1.0]]), lambda x: np.zeros(1))
     G = pushforward_gamma(amb, F, np.array([3.0]))
     np.testing.assert_allclose(G, [[36.0]], rtol=1e-8)
 
 
 def test_pushforward_gamma_sum():
-    F = ProjectionMap(2, 1, lambda x: np.array([x[0] + x[1]]))
+    F = lambda x: np.array([x[0] + x[1]])
     amb = DiffusionModel(2, lambda x: np.eye(2), lambda x: np.zeros(2))
     G = pushforward_gamma(amb, F, np.array([0.3, -1.2]))
     np.testing.assert_allclose(G, [[2.0]], rtol=1e-9)
@@ -41,7 +40,7 @@ def test_pushforward_gamma_sum():
 
 def test_pushforward_generator_ou_square():
     # L(x^2) = 2 - 2x^2 for the 1-D Ornstein-Uhlenbeck generator
-    F = ProjectionMap(1, 1, lambda x: x ** 2)
+    F = lambda x: x ** 2
     out = pushforward_generator(ou_model(), F, np.array([1.0]))
     np.testing.assert_allclose(out, [0.0], atol=1e-8)
     out = pushforward_generator(ou_model(), F, np.array([0.5]))
@@ -51,13 +50,13 @@ def test_pushforward_generator_ou_square():
 def test_pushforward_generator_identity_map():
     amb = DiffusionModel(3, lambda x: np.diag([1.0, 2.0, 3.0]),
                          lambda x: np.array([1.0, -2.0, 0.5]))
-    F = ProjectionMap(3, 3, lambda x: x.copy())
+    F = lambda x: x.copy()
     out = pushforward_generator(amb, F, np.zeros(3))
     np.testing.assert_allclose(out, [1.0, -2.0, 0.5], atol=1e-9)
 
 
 def test_jacobian_second_order_convergence():
-    F = ProjectionMap(1, 1, lambda x: np.sin(3.0 * x))
+    F = lambda x: np.sin(3.0 * x)
     x = np.array([0.4])
     exact = 3.0 * np.cos(1.2)
     r1 = abs(jacobian(F, x, h=1e-3)[0, 0] - exact)
@@ -68,7 +67,7 @@ def test_jacobian_second_order_convergence():
 def test_check_identity_negative_control(rng):
     params = ScalarModelParams(np.array([[0.0, 1.0], [1.0, 0.0]]), [2.0, 2.0])
     model = scalar_model(params)
-    F = ProjectionMap(1, 1, lambda x: x.copy())
+    F = lambda x: x.copy()
 
     def sampler():
         return sample_dirichlet(params.a, rng, margin=1e-3)
@@ -143,7 +142,7 @@ def test_boundary_affine_rank_deficient(rng):
 def test_check_identity_worst_index_follows_failing_half():
     # Gamma is exact; the drift closed form is wrong at sample 3 only
     amb = DiffusionModel(2, lambda x: np.diag(1.0 + x ** 2), lambda x: -x)
-    F = ProjectionMap(2, 2, lambda x: x ** 3)
+    F = lambda x: x ** 3
     points = [np.array([0.1 * s + 0.2, 0.5 - 0.05 * s]) for s in range(6)]
     draws = iter(points)
 

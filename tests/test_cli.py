@@ -109,6 +109,8 @@ def test_sample_matrix_draws_valid(tmp_path):
     assert main(["sample", "--law", "matrix-dirichlet", "--d", "2",
                  "--dims", "3,3", "--n", "50", "--seed", "9",
                  "--out", str(out)]) == 0
+    header = out.read_text().splitlines()[1]
+    assert header == "Z1_d0,Z1_d1,Z1_re01,Z1_im01"
     data = np.loadtxt(str(out), skiprows=2, delimiter=",", ndmin=2)
     assert data.shape == (50, 4)
     for row in data:

@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from matrix_dirichlet.calculus import grad_log_numeric, reversibility_residual
 from matrix_dirichlet.errors import DomainError
@@ -368,6 +371,25 @@ def test_ellipticity_model1(rng):
     ok, witness = ellipticity_model1(Model1Params(A3, np.ones(n + 1)),
                                      d, sampler, n_samples=5)
     assert not ok and witness is None
+
+
+def test_ellipticity_witness_on_every_graph(rng):
+    # every 0/1 weight graph on 4 blocks: a witness comes back exactly when
+    # some block is not joined to the last one, and it annihilates Gamma
+    n, d = 3, 2
+    iu, ju = np.triu_indices(n + 1, 1)
+    point = sample_interior(n, d, rng, margin=1e-3)
+    for bits in itertools.product([0.0, 1.0], repeat=iu.size):
+        A = np.zeros((n + 1, n + 1))
+        A[iu, ju] = A[ju, iu] = bits
+        mp = Model1Params(A, np.ones(n + 1))
+        _, labels = connected_components(A, directed=False)
+        joined = bool(np.all(labels == labels[n]))
+        ok, witness = ellipticity_model1(mp, d, lambda: point, n_samples=1)
+        assert (witness is None) == joined
+        assert ok == joined
+        if witness is not None:
+            assert abs(witness @ gamma_model1(mp, point) @ witness) <= 1e-12
 
 
 # -- model II -----------------------------------------------------------------

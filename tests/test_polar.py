@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from matrix_dirichlet.calculus import (
-    ProjectionMap, pushforward_gamma, pushforward_generator)
+from matrix_dirichlet.calculus import pushforward_gamma, pushforward_generator
 from matrix_dirichlet.errors import SingularError, SpectralGapError
 from matrix_dirichlet.linalg import _fix_phases, haar_unitary
 from matrix_dirichlet.matrix_simplex import (
@@ -157,10 +156,9 @@ def test_scalar_projection(rng):
         frame = PolarFrame(lay.from_real(x), check=False)
         return scalar_projection_v(frame)
 
-    proj = ProjectionMap(lay.real_dim, d - 1, F, name="v-projection")
     x = lay.to_real(m)
-    G = pushforward_gamma(ambient, proj, x)
-    L = pushforward_generator(ambient, proj, x)
+    G = pushforward_gamma(ambient, F, x)
+    L = pushforward_generator(ambient, F, x)
     np.testing.assert_allclose(G, gamma_simplex(params, v), atol=1e-6)
     np.testing.assert_allclose(L, drift_simplex(params, v), atol=1e-4)
 
@@ -182,10 +180,9 @@ def test_w_column_projectors(rng):
         frame = PolarFrame(lay.from_real(x), check=False)
         return hlay.to_real(Y_blocks(frame))
 
-    proj = ProjectionMap(lay.real_dim, hlay.real_dim, F, name="Y-projectors")
     x = lay.to_real(m)
-    G = pushforward_gamma(ambient, proj, x)
-    L = pushforward_generator(ambient, proj, x)
+    G = pushforward_gamma(ambient, F, x)
+    L = pushforward_generator(ambient, F, x)
     point = MatrixSimplexPoint(Y_blocks(fr), check=False)
     expect_G = hlay.gamma_to_real(gamma_model1_entries(params, point))
     expect_L = hlay.drift_to_real(drift_model1_entries(params, point))

@@ -143,3 +143,18 @@ def test_coord_stack_blocks(rng):
     assert blk.shape == (4, 2)
     T = stack.entries_block(G, "S", "u")
     assert T.shape == (4, 8)
+
+
+@pytest.mark.parametrize("n, d", [(1, 1), (2, 2), (3, 3), (1, 4)])
+def test_coordinate_names_follow_layout_indices(n, d):
+    layout = HermLayout(n, d)
+    names = layout.coordinate_names()
+    assert len(names) == layout.real_dim
+    expect = {}
+    for k in range(n):
+        for i in range(d):
+            expect[layout.diag_index(k, i)] = "Z%d_d%d" % (k + 1, i)
+            for j in range(i + 1, d):
+                expect[layout.re_index(k, i, j)] = "Z%d_re%d%d" % (k + 1, i, j)
+                expect[layout.im_index(k, i, j)] = "Z%d_im%d%d" % (k + 1, i, j)
+    assert names == [expect[c] for c in range(layout.real_dim)]

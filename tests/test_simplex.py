@@ -193,8 +193,7 @@ def test_ou_warped_radius_drift():
     sizes = (1, 1, 1)
     A = np.ones((3, 3)) - np.eye(3)
     model, _ = ou_warped_ambient(sizes, A)
-    from matrix_dirichlet.calculus import ProjectionMap
-    radius = ProjectionMap(3, 1, lambda y: np.array([np.linalg.norm(y)]))
+    radius = lambda y: np.array([np.linalg.norm(y)])
     y = np.array([1.0, 0.0, 0.0])
     L = pushforward_generator(model, radius, y)
     np.testing.assert_allclose(L, [1.0], atol=1e-4)

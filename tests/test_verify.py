@@ -1,9 +1,17 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from matrix_dirichlet.verify import (
-    SUITE_NAMES, _check, format_report, independence_check, moment_test,
-    run_suite)
+    SUITE_NAMES, _check, _scalar_wishart_pairs, format_report,
+    independence_check, moment_test, run_suite)
+from matrix_dirichlet.wishart import sample_wishart_family
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def test_moment_test_basic():
@@ -89,3 +97,31 @@ def test_check_on_no_sample_fails():
     checks = []
     _check(checks, "empty", 0.0, 1.0, 0)
     assert not checks[0]["pass"]
+
+
+def test_scalar_wishart_pairs_match_sampler_loop():
+    M = 50
+    rngs = [np.random.Generator(np.random.Philox(4)) for _ in range(2)]
+    W = _scalar_wishart_pairs(rngs[0], M)
+    loop = np.array([sample_wishart_family(1, [2.0, 2.0], rngs[1]).W[:, 0, 0]
+                     for _ in range(M)])
+    assert W.shape == (M, 2)
+    assert np.array_equal(W, loop.real)
+    # both leave the stream at the same place
+    assert rngs[0].standard_normal() == rngs[1].standard_normal()
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores")
+def test_report_bytes_do_not_depend_on_blas_threads(tmp_path):
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / ("t%s.json" % threads)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, PYTHONPATH=SRC)
+        subprocess.run([sys.executable, "-m", "matrix_dirichlet.cli",
+                        "verify", "--suite", "scalar", "--seed", "0",
+                        "--out", str(out)],
+                       env=env, check=True, capture_output=True,
+                       timeout=300)
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
