@@ -1,13 +1,15 @@
 """Command line front end: verify identity suites, simulate paths, and
 sample the stationary matrix Dirichlet law.
 
-Exit codes: 0 success, 1 check or simulation failure, 2 usage error.
+Exit codes: 0 success, 1 check or simulation failure, 2 usage error (bad
+flags, an unreadable model or x0 file, an --out that cannot be written).
 All commands are deterministic given their flags and seed.
 """
 
 import argparse
 import csv
 import json
+import os
 import sys
 
 import numpy as np
@@ -21,14 +23,41 @@ from .verify import SUITE_NAMES, format_report, run_suite
 from .wishart import sample_matrix_dirichlet_direct
 
 
+def _out_problem(path):
+    """Why --out cannot be written, or None; checked before any work runs."""
+    folder = os.path.dirname(os.path.abspath(path))
+    if not path or not os.path.isdir(folder):
+        return "no such directory"
+    if os.path.isdir(path):
+        return "is a directory"
+    if not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        return "permission denied"
+    return None
+
+
+def _written(write, *args, **kwargs):
+    """Run write(*args, **kwargs), which writes --out: 0, or 2 with a
+    message when the file cannot be written."""
+    try:
+        write(*args, **kwargs)
+    except OSError as exc:
+        print("error: cannot write --out: %s" % exc, file=sys.stderr)
+        return 2
+    return 0
+
+
+def _write_json(obj, path):
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
+
+
 def _cmd_verify(args):
     report = run_suite(args.suite, seed=args.seed, samples=args.samples)
     for line in format_report(report):
         print(line)
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
+    if args.out is not None and _written(_write_json, report, args.out):
+        return 2
     return 0 if report["pass"] else 1
 
 
@@ -38,7 +67,7 @@ def _cmd_simulate(args, parser):
     try:
         with open(args.model) as fh:
             params, n, d = params_from_json(json.load(fh))
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print("error: cannot read model file: %s" % exc, file=sys.stderr)
         return 2
     model = (model1(params, d) if isinstance(params, Model1Params)
@@ -52,7 +81,7 @@ def _cmd_simulate(args, parser):
         try:
             with open(args.x0) as fh:
                 x0 = np.asarray(json.load(fh), dtype=float)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, TypeError) as exc:
             print("error: cannot read x0 file: %s" % exc, file=sys.stderr)
             return 2
         if x0.shape != (model.dim,):
@@ -76,8 +105,9 @@ def _cmd_simulate(args, parser):
             print("  proposal: %s" % np.array2string(exc.proposal),
                   file=sys.stderr)
         return 1
-    write_path_csv(summary, args.out,
-                   names=simplex_layout(n, d).coordinate_names())
+    if _written(write_path_csv, summary, args.out,
+                names=simplex_layout(n, d).coordinate_names()):
+        return 2
     print("wrote %d states to %s (rejection fraction %.2e)"
           % (summary.count, args.out, summary.rejection_fraction))
     return 0
@@ -90,20 +120,25 @@ def _cmd_sample(args, parser):
     if any(r < args.d for r in dims):
         parser.error("every dim must be >= d (got d=%d, dims=%s)"
                      % (args.d, dims))
-    d = args.d
+    if _written(_write_draws, args.out, args.d, dims, args.n, args.seed):
+        return 2
+    print("wrote %d draws to %s" % (args.n, args.out))
+    return 0
+
+
+def _write_draws(path, d, dims, count, seed):
+    """count direct matrix Dirichlet draws as CSV rows of real coordinates."""
     n = len(dims) - 1
-    rng = np.random.Generator(np.random.Philox(args.seed))
-    with open(args.out, "w", newline="") as fh:
+    rng = np.random.Generator(np.random.Philox(seed))
+    with open(path, "w", newline="") as fh:
         fh.write("# law: matrix-dirichlet d=%d dims=%s seed=%d\n"
-                 % (d, ",".join(str(r) for r in dims), args.seed))
+                 % (d, ",".join(str(r) for r in dims), seed))
         writer = csv.writer(fh)
         writer.writerow(simplex_layout(n, d).coordinate_names())
-        for _ in range(args.n):
+        for _ in range(count):
             point = sample_matrix_dirichlet_direct(d, dims, rng)
             row = point_to_real(point)
             writer.writerow(["%.12g" % v for v in row])
-    print("wrote %d draws to %s" % (args.n, args.out))
-    return 0
 
 
 def _int_at_least(minimum):
@@ -173,6 +208,12 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.out is not None:
+        problem = _out_problem(args.out)
+        if problem:
+            print("error: cannot write --out %s: %s" % (args.out, problem),
+                  file=sys.stderr)
+            return 2
     try:
         if args.command == "verify":
             return _cmd_verify(args)

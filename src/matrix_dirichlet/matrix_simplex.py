@@ -187,23 +187,39 @@ class Model1Params:
         self.n = a.size - 1
 
 
-def gamma_model1_entries(params, point):
-    """Entry-space Gamma table of model I (free blocks only)."""
-    n, d = point.n, point.d
-    A = params.A
-    blocks = point.all_blocks()
-    Z = blocks[:n]
-    # K[p, q, s] = delta_pq A_sp - delta_sq A_pq weighs the products of
-    # Z^(s) and Z^(p) in the (p, q) block
-    K = np.zeros((n, n, n + 1))
+def _model1_weights(params, d):
+    """Parameter-only tables of model I at block size d: K[p, q, s] =
+    delta_pq A_sp - delta_sq A_pq weighs the products of Z^(s) and Z^(p)
+    in the (p, q) block of Gamma, and the drift of block p is
+    sum_s w_ps Z^(s)."""
+    n = params.n
+    A, a = params.A, params.a
     diag = np.arange(n)
+    K = np.zeros((n, n, n + 1))
     K[diag, diag] = A[:, :n].T
     K[:, diag, diag] -= A[:n, :n]
-    # sum_s K_pqs (Z^(s)_il Z^(p)_kj + Z^(p)_il Z^(s)_kj), indexed
-    # [p, i, j, q, k, l]
+    # sum_q 2 A_pq ((a_p + d - 1) Z^(q) - (a_q + d - 1) Z^(p))
+    c = 2.0 * (a + d - 1.0)
+    w = c[:n, None] * A[:n]
+    w[diag, diag] -= A[:n] @ c
+    K.flags.writeable = w.flags.writeable = False
+    return K, w
+
+
+def _gamma_model1_table(K, blocks):
+    """sum_s K_pqs (Z^(s)_il Z^(p)_kj + Z^(p)_il Z^(s)_kj) over all n+1
+    stacked blocks, indexed [p, i, j, q, k, l] and flattened."""
+    n, d = K.shape[0], blocks.shape[1]
+    Z = blocks[:n]
     T = np.einsum("pqs,sil,pkj->pijqkl", K, blocks, Z)
     T += np.einsum("pqs,pil,skj->pijqkl", K, Z, blocks)
     return T.reshape(n * d * d, n * d * d)
+
+
+def gamma_model1_entries(params, point):
+    """Entry-space Gamma table of model I (free blocks only)."""
+    K, _ = _model1_weights(params, point.d)
+    return _gamma_model1_table(K, point.all_blocks())
 
 
 def gamma_model1(params, point):
@@ -212,16 +228,8 @@ def gamma_model1(params, point):
 
 
 def drift_model1_entries(params, point):
-    n, d = point.n, point.d
-    A, a = params.A, params.a
-    blocks = point.all_blocks()
-    # sum_q 2 A_pq ((a_p + d - 1) Z^(q) - (a_q + d - 1) Z^(p)), as
-    # sum_s w_ps Z^(s)
-    c = 2.0 * (a + d - 1.0)
-    w = c[:n, None] * A[:n]
-    diag = np.arange(n)
-    w[diag, diag] -= A[:n] @ c
-    return np.einsum("ps,sij->pij", w, blocks).reshape(-1)
+    _, w = _model1_weights(params, point.d)
+    return np.einsum("ps,sij->pij", w, point.all_blocks()).reshape(-1)
 
 
 def drift_model1(params, point):
@@ -232,12 +240,16 @@ def drift_model1(params, point):
 def model1(params, d):
     n = params.n
     layout = simplex_layout(n, d)
+    K, w = _model1_weights(params, d)
 
     def gamma(x):
-        return gamma_model1(params, real_to_point(x, n, d))
+        blocks = real_to_point(x, n, d).all_blocks()
+        return layout.gamma_to_real(_gamma_model1_table(K, blocks))
 
     def drift(x):
-        return drift_model1(params, real_to_point(x, n, d))
+        blocks = real_to_point(x, n, d).all_blocks()
+        return layout.drift_to_real(
+            np.einsum("ps,sij->pij", w, blocks).reshape(-1))
 
     return DiffusionModel(layout.real_dim, gamma, drift,
                           domain_test=lambda x: in_matrix_simplex(x, n, d))
@@ -334,14 +346,19 @@ def gamma_model2(params, point):
     return layout.gamma_to_real(gamma_model2_entries(params, point))
 
 
-def drift_model2_entries(params, point):
-    n, d = point.n, point.d
-    A = params.A
-    B = params.B
-    a = params.a
-    Z = point.Z
+def _model2_drift_terms(params, n):
+    """Parameter-only parts of the model II drift: the constant
+    2 (a_p - 1 + d) A of block p and the coefficient of A Z + Z A."""
+    d, A, a = params.d, params.A, params.a
     coeff = float(np.sum(a[:n] - 1.0 + d) + (a[n] - 1.0))
-    out = (2.0 * (a[:n] - 1.0 + d))[:, None, None] * A
+    base = (2.0 * (a[:n] - 1.0 + d))[:, None, None] * A
+    base.flags.writeable = False
+    return base, coeff
+
+
+def _drift_model2_table(params, base, coeff, Z):
+    A, B = params.A, params.B
+    out = base.copy()
     out -= coeff * (A @ Z + Z @ A)
     out -= 2.0 * np.trace(Z, axis1=1, axis2=2)[:, None, None] * A
     out += np.einsum("iajb,pab->pij", B, Z)
@@ -349,6 +366,11 @@ def drift_model2_entries(params, point):
     out -= np.einsum("iaba,pbj->pij", B, Z)
     out -= np.einsum("bjba,pia->pij", B, Z)
     return out.reshape(-1)
+
+
+def drift_model2_entries(params, point):
+    base, coeff = _model2_drift_terms(params, point.n)
+    return _drift_model2_table(params, base, coeff, point.Z)
 
 
 def drift_model2(params, point):
@@ -359,12 +381,15 @@ def drift_model2(params, point):
 def model2(params, n):
     d = params.d
     layout = simplex_layout(n, d)
+    base, coeff = _model2_drift_terms(params, n)
 
     def gamma(x):
         return gamma_model2(params, real_to_point(x, n, d))
 
     def drift(x):
-        return drift_model2(params, real_to_point(x, n, d))
+        Z = real_to_point(x, n, d).Z
+        return layout.drift_to_real(
+            _drift_model2_table(params, base, coeff, Z))
 
     return DiffusionModel(layout.real_dim, gamma, drift,
                           domain_test=lambda x: in_matrix_simplex(x, n, d))
@@ -400,10 +425,15 @@ def _json_to_complex(v):
 
 
 def params_to_json(params, n=None, d=None):
+    """JSON-ready dict of model parameters; model I needs the block size d,
+    model II the number of free blocks n."""
     if isinstance(params, Model1Params):
-        return {"schema": 1, "model": "I", "n": params.n,
-                "d": int(d) if d is not None else None,
+        if d is None:
+            raise ValueError("a model I file needs the block size d")
+        return {"schema": 1, "model": "I", "n": params.n, "d": int(d),
                 "A": params.A.tolist(), "a": params.a.tolist()}
+    if n is None:
+        raise ValueError("a model II file needs the number of blocks n")
     d = params.d
     A = [[_complex_to_json(params.A[i, j]) for j in range(d)]
          for i in range(d)]
@@ -414,21 +444,45 @@ def params_to_json(params, n=None, d=None):
             "A": A, "B": B, "a": params.a.tolist()}
 
 
+def _positive_int_field(obj, key):
+    value = obj.get(key)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError("%r must be a positive integer, got %r"
+                         % (key, value))
+    return value
+
+
 def params_from_json(obj):
-    """Returns (params, n, d) from a parsed parameter dict."""
+    """Returns (params, n, d) from a parsed parameter dict.
+
+    Raises ValueError unless obj is a schema-1 object of model I or II
+    with positive integers n and d and n + 1 exponents a.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError("expected a JSON object, got %s"
+                         % type(obj).__name__)
     if obj.get("schema") != 1:
         raise ValueError("unsupported schema")
-    model = obj["model"]
-    n = int(obj["n"])
-    d = int(obj["d"])
-    a = np.asarray(obj["a"], dtype=float)
-    if model == "I":
-        return Model1Params(np.asarray(obj["A"], dtype=float), a), n, d
-    if model == "II":
+    model = obj.get("model")
+    if model not in ("I", "II"):
+        raise ValueError("unknown model %r" % (model,))
+    n = _positive_int_field(obj, "n")
+    d = _positive_int_field(obj, "d")
+    try:
+        a = np.asarray(obj["a"], dtype=float)
+        if a.shape != (n + 1,):
+            raise ValueError("n = %d needs %d exponents a, got shape %s"
+                             % (n, n + 1, a.shape))
+        if model == "I":
+            return Model1Params(np.asarray(obj["A"], dtype=float), a), n, d
         A = np.array([[_json_to_complex(v) for v in row]
                       for row in obj["A"]])
         Bmat = np.array([[_json_to_complex(v) for v in row]
                          for row in obj["B"]])
-        B = Bmat.reshape(d, d, d, d)
-        return Model2Params(A, B, a), n, d
-    raise ValueError("unknown model %r" % (model,))
+        params = Model2Params(A, Bmat.reshape(d, d, d, d), a)
+    except (KeyError, TypeError, IndexError) as exc:
+        raise ValueError("malformed parameters (%s: %s)"
+                         % (type(exc).__name__, exc)) from None
+    if params.d != d:
+        raise ValueError("d = %d but A is %d x %d" % (d, params.d, params.d))
+    return params, n, d

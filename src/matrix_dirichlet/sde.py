@@ -17,6 +17,7 @@ size and a standard error for the mean.
 import csv
 import functools
 import json
+import math
 
 import numpy as np
 from scipy.linalg.lapack import dpstrf
@@ -26,6 +27,10 @@ from .errors import NotPsdError, StepRejectedError
 
 _N_BATCHES = 20  # batch-means batches of every simulated path
 _MAX_STEP_RETRIES = 8  # halvings of one sub-step before a path fails
+# Sub-steps of one outer step before a path fails.  The step size only
+# shrinks within an outer step, so without this bound a dt far too large
+# for the model can leave h so small that the step never ends.
+_MAX_SUBSTEPS = 4096
 
 
 class SimConfig:
@@ -84,8 +89,9 @@ def diffusion_factor(G):
     c *= _lower_mask(n)  # the strict upper triangle still holds A
     if rank < n:
         c[:, rank:] = 0.0
-    sigma = np.empty((n, n))
-    sigma[piv - 1] = c  # undo the permutation: A = P L L^T P^T
+    # undo the permutation A = P L L^T P^T: row piv[k] - 1 of sigma is
+    # row k of c (the gather is C-ordered, like the scatter it replaces)
+    sigma = c.take(piv.argsort(), axis=0)
     R = sigma @ sigma.T
     R -= A
     resid = float(np.abs(R, out=R).max())
@@ -99,20 +105,26 @@ def _em_chain(model, x, dt, rng, retries):
     """Advance time dt with step-halving on domain exits.
 
     Returns (x', n_rejections).  Raises StepRejectedError once a single
-    sub-step has been halved more than `retries` times.
+    sub-step has been halved more than `retries` times, or once the step
+    has taken _MAX_SUBSTEPS sub-steps.
     """
     x = np.asarray(x, dtype=float)
+    drift, gamma, inside = model.drift, model.gamma, model.domain_test
+    normal = rng.standard_normal
+    t_end = dt * (1.0 - 1e-12)
     t = 0.0
     h = dt
     n_rej = 0
     fails = 0
-    while t < dt * (1.0 - 1e-12):
+    for _ in range(_MAX_SUBSTEPS):
+        if not t < t_end:
+            return x, n_rej
         h = min(h, dt - t)
-        b = np.asarray(model.drift(x))
-        sigma = diffusion_factor(model.gamma(x))
-        xi = rng.standard_normal(x.size)
-        prop = x + b * h + np.sqrt(h) * (sigma @ xi)
-        if model.domain_test(prop):
+        b = np.asarray(drift(x))
+        sigma = diffusion_factor(gamma(x))
+        xi = normal(x.size)
+        prop = x + b * h + math.sqrt(h) * (sigma @ xi)
+        if inside(prop):
             x = prop
             t += h
             fails = 0
@@ -124,6 +136,11 @@ def _em_chain(model, x, dt, rng, retries):
                     "step left the domain after %d halvings" % retries,
                     position=x, proposal=prop)
             h *= 0.5
+    if t < t_end:
+        raise StepRejectedError(
+            "step of length %g not done after %d sub-steps (h = %.3g): dt "
+            "is too large for this model" % (dt, _MAX_SUBSTEPS, h),
+            position=x)
     return x, n_rej
 
 
@@ -186,11 +203,12 @@ def simulate(model, x0, config, record=False):
     states = np.empty((count, dim)) if record else None
     n_rej = 0
     recorded = 0
+    dt, burn_in, thin = config.dt, config.burn_in, config.thin
     for step in range(config.n_steps):
-        x, rej = _em_chain(model, x, config.dt, rng, _MAX_STEP_RETRIES)
+        x, rej = _em_chain(model, x, dt, rng, _MAX_STEP_RETRIES)
         n_rej += rej
-        k = step - config.burn_in
-        if k >= 0 and (k + 1) % config.thin == 0 and recorded < count:
+        k = step - burn_in
+        if k >= 0 and (k + 1) % thin == 0 and recorded < count:
             s1 += x
             s2 += np.outer(x, x)
             if record:

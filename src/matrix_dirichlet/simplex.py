@@ -42,43 +42,46 @@ class ScalarModelParams:
             raise ValueError("a must be positive")
         self.A = A
         self.a = a
-        self.n = a.size - 1
+        self.n = n = a.size - 1
+        # parameter-only factors of the closed forms, built once
+        self._minus_A = -A[:n, :n]
+        self._A_a = A[:n] @ a  # sum_j A_ij a_j for i = 1..n
 
 
 def full_coordinates(x):
     """Append the implied last coordinate x_{n+1} = 1 - sum x_i."""
     x = np.asarray(x, dtype=float)
-    return np.append(x, 1.0 - np.sum(x))
+    xf = np.empty(x.size + 1)
+    xf[:-1] = x.ravel()
+    xf[-1] = 1.0 - x.sum()
+    return xf
 
 
 def in_simplex(x, margin=0.0):
-    xf = full_coordinates(x)
-    return bool(np.all(xf >= margin))
+    # min() is NaN when any coordinate is, and NaN >= margin is False
+    return bool(full_coordinates(x).min() >= margin)
 
 
 def gamma_simplex(params, x):
     xf = full_coordinates(x)
-    if np.any(xf < -1e-12):
+    if (xf < -1e-12).any():
         raise DomainError("point outside the simplex")
     n = params.n
-    A = params.A
-    G = np.empty((n, n))
-    row_sums = A[:n] @ xf  # sum_k A_ik x_k for i = 1..n
-    for i in range(n):
-        for j in range(n):
-            G[i, j] = -A[i, j] * xf[i] * xf[j]
-        G[i, i] += row_sums[i] * xf[i]
+    x = xf[:n]
+    row_sums = params.A[:n] @ xf  # sum_k A_ik x_k for i = 1..n
+    # (-A_ij x_i) x_j, multiplied in that order
+    G = params._minus_A * x[:, None]
+    G *= x
+    G.reshape(-1)[::n + 1] += row_sums * x
     return G
 
 
 def drift_simplex(params, x):
     xf = full_coordinates(x)
-    if np.any(xf < -1e-12):
+    if (xf < -1e-12).any():
         raise DomainError("point outside the simplex")
     n = params.n
-    A = params.A
-    a = params.a
-    return -xf[:n] * (A[:n] @ a) + a[:n] * (A[:n] @ xf)
+    return -xf[:n] * params._A_a + params.a[:n] * (params.A[:n] @ xf)
 
 
 def scalar_model(params, margin=1e-12):

@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from matrix_dirichlet.cli import main
 from matrix_dirichlet.matrix_simplex import Model1Params, params_to_json
@@ -178,3 +183,204 @@ def test_large_seed_accepted(tmp_path):
     assert main(["sample", "--law", "matrix-dirichlet", "--d", "1",
                  "--dims", "2,2", "--n", "3", "--seed", str(2 ** 70),
                  "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("content", [
+    "[1, 2]",
+    '{"schema": 1, "model": "I", "n": 2, "d": null, "A": [[0, 1, 1], '
+    '[1, 0, 1], [1, 1, 0]], "a": [2, 2, 2]}',
+    '{"schema": 1, "model": "I", "n": 2, "d": 0, "A": [[0, 1, 1], '
+    '[1, 0, 1], [1, 1, 0]], "a": [2, 2, 2]}',
+    '{"schema": 1, "model": "I", "n": 2, "d": -1, "A": [[0, 1, 1], '
+    '[1, 0, 1], [1, 1, 0]], "a": [2, 2, 2]}',
+    '{"schema": 1, "model": "I", "n": 2, "d": 2, "A": {}, "a": [2, 2, 2]}',
+], ids=["list", "d-null", "d-0", "d-negative", "A-object"])
+def test_malformed_model_file_exits_2(content, tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(content)
+    out = tmp_path / "out.csv"
+    assert main(["simulate", "--model", str(path), "--dt", "1e-3",
+                 "--steps", "100", "--out", str(out)]) == 2
+    assert "error: cannot read model file" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_x0_file_of_wrong_type_exits_2(tmp_path, model_file, capsys):
+    x0 = tmp_path / "x0.json"
+    x0.write_text('{"x": 1}')
+    assert main(["simulate", "--model", model_file, "--x0", str(x0),
+                 "--dt", "1e-3", "--steps", "100",
+                 "--out", str(tmp_path / "out.csv")]) == 2
+    assert "error: cannot read x0 file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate", "sample"])
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_unwritable_out_exits_2_before_any_work(command, where, tmp_path,
+                                               model_file, capsys,
+                                               monkeypatch):
+    import matrix_dirichlet.cli as cli
+    out = str(tmp_path / "missing" / "x") if where == "missing-dir" \
+        else str(tmp_path)
+    argv = {"verify": ["verify", "--suite", "all"],
+            "simulate": ["simulate", "--model", model_file, "--dt", "1e-3",
+                         "--steps", "100"],
+            "sample": ["sample", "--law", "matrix-dirichlet", "--d", "2",
+                       "--dims", "3,3", "--n", "5"]}[command]
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran before --out was checked")
+
+    for name in ("run_suite", "simulate", "sample_matrix_dirichlet_direct"):
+        monkeypatch.setattr(cli, name, no_work)
+    assert main(argv + ["--out", out]) == 2
+    assert "error: cannot write --out" in capsys.readouterr().err
+
+
+def test_out_that_fails_at_write_time_exits_2(tmp_path, monkeypatch, capsys):
+    # a path that passes the early check but cannot be opened
+    import matrix_dirichlet.cli as cli
+    monkeypatch.setattr(cli, "_out_problem", lambda path: None)
+    out = str(tmp_path / "missing" / "r.json")
+    assert main(["verify", "--suite", "polar", "--samples", "1",
+                 "--out", out]) == 2
+    assert "error: cannot write --out" in capsys.readouterr().err
+
+
+# -- fuzzed command lines and files -------------------------------------------
+# Any argv and any model or x0 file may only end in exit 0, 1 or 2, with a
+# message rather than a traceback.  Sizes stay cheap: at most 400 steps,
+# d <= 3 in model files, one or two samples per identity.
+
+def _model_obj(model, n, d):
+    if model == "I":
+        return {"schema": 1, "model": "I", "n": n, "d": d,
+                "A": (np.ones((n + 1, n + 1)) - np.eye(n + 1)).tolist(),
+                "a": [2.0] * (n + 1)}
+    B = 0.4 * np.eye(d * d)
+    return {"schema": 1, "model": "II", "n": n, "d": d,
+            "A": [[[float(i == j), 0.0] for j in range(d)] for i in range(d)],
+            "B": [[[B[i, j], 0.0] for j in range(d * d)]
+                  for i in range(d * d)],
+            "a": [2.0] * (n + 1)}
+
+
+_JSON_VALUES = st.sampled_from(
+    [None, 0, -1, 1, 2, 3, 2.5, True, "x", [], {}, [[1.0]], [1.0, 2.0],
+     float("nan"), float("inf"), 1e300])
+
+
+@st.composite
+def _model_files(draw):
+    kind = draw(st.sampled_from(["valid", "valid", "mutated", "other"]))
+    if kind == "other":
+        return draw(st.sampled_from(
+            ["[1, 2]", "3", '"model"', "null", "{not json", "", "{}"]))
+    obj = _model_obj(draw(st.sampled_from(["I", "II"])),
+                     draw(st.integers(1, 2)), draw(st.integers(1, 2)))
+    if kind == "mutated":
+        for key in draw(st.lists(st.sampled_from(sorted(obj)), min_size=1,
+                                 max_size=2)):
+            if draw(st.booleans()):
+                obj.pop(key, None)
+            else:
+                obj[key] = draw(_JSON_VALUES)
+    return json.dumps(obj)
+
+
+_X0_FILES = st.sampled_from(["auto"] * 6 + [
+    "[0.2, 0.2, 0.0, 0.0]", "[0.5, 0.5, 0.0, 0.0]", "[0.3]", "[]",
+    '{"x": 1}', '"x"', "[[0.2, 0.2]]", "[NaN, 0.2, 0.0, 0.0]", '["a", 0.2]',
+    "{bad", "[0.25, 0.25, 0.0, 0.0, 0.25, 0.25, 0.0, 0.0]"])
+_OUTS = st.sampled_from(["ok"] * 5 + ["missing-dir", "directory", ""])
+
+
+_SEEDS = (["0", "7", str(2 ** 70)], ["-1", "x"])
+# (flag, valid values, invalid values) of each command
+_FLAGS = {
+    "verify": [("--suite", ["scalar", "model1", "model2", "sun", "wishart",
+                            "polar", "all"], ["bogus"]),
+               ("--seed",) + _SEEDS],
+    "simulate": [("--dt", ["1e-3", "0.05"], ["0", "-1", "nan", "inf", "1e3",
+                                             "x"]),
+                 ("--steps", ["100", "400"], ["20", "0", "-5", "x"]),
+                 ("--thin", ["1", "5"], ["0", "x"]),
+                 ("--burn-in", ["0", "10"], ["-1", "1000", "x"]),
+                 ("--seed",) + _SEEDS],
+    "sample": [("--law", ["matrix-dirichlet"], ["bogus"]),
+               ("--d", ["1", "2"], ["3", "0", "x"]),
+               ("--dims", ["3,3", "2,2,2"], ["1,3", "3", "x,3"]),
+               ("--n", ["1", "3"], ["0", "x"]),
+               ("--seed",) + _SEEDS],
+}
+
+
+@st.composite
+def _argvs(draw):
+    """A command with valid flags, at most one of them broken: a bad
+    value, no value, or left out."""
+    command = draw(st.sampled_from(sorted(_FLAGS) * 3 + ["bogus"]))
+    flags = _FLAGS.get(command, [])
+    broken = draw(st.sampled_from([None] * 3 + [f[0] for f in flags]))
+    argv = [command]
+    for name, valid, invalid in flags:
+        if name == broken:
+            argv += draw(st.sampled_from(
+                [[name, v] for v in invalid] + [[name], []]))
+        else:
+            argv += [name, draw(st.sampled_from(valid))]
+    if command == "verify":
+        # always a sample count: the per-suite defaults are not cheap
+        argv += ["--samples",
+                 draw(st.sampled_from(["1", "2", "1", "2", "0", "x"]))]
+    return argv
+
+
+def _fuzz_run(argv, model_text, x0_text, out_kind):
+    """Exit code and stderr of one CLI run in a fresh directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = list(argv)
+        if argv[0] == "simulate":
+            model = os.path.join(tmp, "model.json")
+            with open(model, "w") as fh:
+                fh.write(model_text)
+            argv += ["--model", model]
+            if x0_text != "auto":
+                x0 = os.path.join(tmp, "x0.json")
+                with open(x0, "w") as fh:
+                    fh.write(x0_text)
+                argv += ["--x0", x0]
+        if argv[0] in ("verify", "simulate", "sample") and out_kind:
+            argv += ["--out", {"ok": os.path.join(tmp, "out"),
+                               "missing-dir": os.path.join(tmp, "no", "out"),
+                               "directory": tmp}[out_kind]]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = _exit_code(argv)
+    return code, err.getvalue()
+
+
+_SIMULATE = ["simulate", "--dt", "1e-3", "--steps", "100"]
+_MODEL_I = json.dumps(_model_obj("I", 1, 2))
+
+
+@given(argv=_argvs(), model_text=_model_files(), x0_text=_X0_FILES,
+       out_kind=_OUTS)
+@example(argv=_SIMULATE, model_text="[1, 2]", x0_text="auto", out_kind="ok")
+@example(argv=_SIMULATE, model_text=json.dumps(dict(_model_obj("I", 1, 2),
+                                                    d=None)),
+         x0_text="auto", out_kind="ok")
+@example(argv=_SIMULATE, model_text=_MODEL_I, x0_text="auto",
+         out_kind="missing-dir")
+@example(argv=["sample", "--law", "matrix-dirichlet", "--d", "1", "--dims",
+               "2,2", "--n", "1"], model_text="", x0_text="auto",
+         out_kind="directory")
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_cli_exits_0_1_or_2_without_traceback(argv, model_text,
+                                                     x0_text, out_kind):
+    code, err = _fuzz_run(argv, model_text, x0_text, out_kind)
+    assert code in (0, 1, 2), (argv, code, err)
+    assert "Traceback" not in err
+    if code == 2:
+        assert "error" in err, (argv, err)

@@ -514,3 +514,84 @@ def test_params_validation():
                      np.zeros((2, 2, 2, 2)), np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
         params_from_json({"schema": 2})
+
+
+def _model1_file(**changes):
+    obj = {"schema": 1, "model": "I", "n": 2, "d": 2,
+           "A": (np.ones((3, 3)) - np.eye(3)).tolist(), "a": [2.0, 2.0, 2.0]}
+    obj.update(changes)
+    return obj
+
+
+@pytest.mark.parametrize("obj", [
+    [1, 2],
+    "model",
+    None,
+    _model1_file(d=None),
+    _model1_file(d=0),
+    _model1_file(d=-1),
+    _model1_file(d=2.5),
+    _model1_file(d=True),
+    _model1_file(n=None),
+    _model1_file(n=0),
+    _model1_file(n=3),
+    _model1_file(n="2"),
+    _model1_file(a=None),
+    _model1_file(A={}),
+    _model1_file(A=None),
+    _model1_file(model="III"),
+    {k: v for k, v in _model1_file().items() if k != "A"},
+    {k: v for k, v in _model1_file().items() if k != "d"},
+], ids=["list", "string", "null", "d-null", "d-0", "d-negative", "d-float",
+        "d-bool", "n-null", "n-0", "n-mismatch", "n-string", "a-null",
+        "A-object", "A-null", "model-unknown", "A-missing", "d-missing"])
+def test_params_from_json_rejects_malformed_files(obj):
+    with pytest.raises(ValueError):
+        params_from_json(obj)
+
+
+def test_params_from_json_rejects_malformed_model2_files(rng):
+    A, B = model2_fixture(rng, 2)
+    good = params_to_json(Model2Params(A, B, np.full(3, 2.0)), n=2)
+    assert params_from_json(good)[1:] == (2, 2)
+    for key, value in [("d", 3), ("n", 1), ("A", 1.0), ("A", [[[1.0]]]),
+                       ("B", [[1.0]]), ("A", [[[1.0]] * 2] * 2)]:
+        with pytest.raises(ValueError):
+            params_from_json(dict(good, **{key: value}))
+
+
+def test_params_to_json_needs_the_block_size():
+    with pytest.raises(ValueError, match="d"):
+        params_to_json(Model1Params(np.ones((2, 2)) - np.eye(2),
+                                    np.full(2, 2.0)))
+
+
+@pytest.mark.parametrize("n, d", [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3)])
+def test_model_closures_bitwise_equal_to_public_forms(n, d, rng):
+    # the closures build their parameter tables once; the public forms
+    # build them per call: the same bits either way
+    params = Model1Params(random_A(rng, n + 1), rng.uniform(0.5, 3.0, n + 1))
+    m1 = model1(params, d)
+    A2, B2 = model2_fixture(rng, d, b_style="diag")
+    params2 = Model2Params(A2, B2, rng.uniform(0.5, 3.0, n + 1))
+    m2 = model2(params2, n)
+    for _ in range(3):
+        x = point_to_real(sample_interior(n, d, rng))
+        point = real_to_point(x, n, d)
+        assert m1.gamma(x).tobytes() == gamma_model1(params, point).tobytes()
+        assert m1.drift(x).tobytes() == drift_model1(params, point).tobytes()
+        assert m2.drift(x).tobytes() == drift_model2(params2, point).tobytes()
+
+
+def test_model1_weights_built_once_per_closure(rng, monkeypatch):
+    import matrix_dirichlet.matrix_simplex as ms
+    calls = []
+    build = ms._model1_weights
+    monkeypatch.setattr(ms, "_model1_weights",
+                        lambda *args: calls.append(args) or build(*args))
+    model = model1(Model1Params(random_A(rng, 3), np.full(3, 2.0)), 2)
+    x = point_to_real(sample_interior(2, 2, rng))
+    for _ in range(3):
+        model.gamma(x)
+        model.drift(x)
+    assert len(calls) == 1

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg.lapack import dpstrf
 
 from matrix_dirichlet.calculus import (
     DiffusionModel, reversibility_residual)
@@ -10,6 +11,9 @@ from matrix_dirichlet.sde import (
     laguerre_grad_log, laguerre_model, ou_grad_log, ou_model, simulate,
     write_path_csv)
 from matrix_dirichlet.simplex import ScalarModelParams, scalar_model
+
+from test_simplex import (
+    _drift_simplex_ref, _gamma_simplex_ref, _in_simplex_ref)
 
 
 def test_diffusion_factor_basic():
@@ -70,6 +74,23 @@ def test_em_step_rejection(rng):
         em_step(model, np.zeros(1), 1.0, rng, retries=3)
     assert exc.value.position is not None
     assert exc.value.proposal is not None
+
+
+def test_em_step_fails_when_halving_stalls(rng):
+    # two runs of 8 rejections leave h = dt / 2^16, which would need 65536
+    # sub-steps to cover dt; the step fails after a bounded number instead
+    calls = []
+
+    def domain_test(x):
+        calls.append(x)
+        return len(calls) == 9 or len(calls) > 17
+
+    model = DiffusionModel(1, gamma=lambda x: np.zeros((1, 1)),
+                           drift=lambda x: np.zeros(1),
+                           domain_test=domain_test)
+    with pytest.raises(StepRejectedError, match="sub-steps"):
+        em_step(model, np.zeros(1), 1.0, rng)
+    assert len(calls) == 4096
 
 
 def one_step_moments(model, x0, dt, M, rng):
@@ -196,3 +217,112 @@ def test_config_validation():
     with pytest.raises(ValueError, match="batches"):
         SimConfig(dt=1e-3, n_steps=100, thin=10)
     SimConfig(dt=1e-3, n_steps=200, thin=10)
+
+
+# -- the gather in diffusion_factor and the EM chain, bit for bit -------------
+
+def _diffusion_factor_ref(G):
+    """The earlier diffusion_factor, which undid the pivot by a scatter."""
+    G = np.asarray(G, dtype=float)
+    A = G + G.T
+    scale = max(float(np.abs(A).max()), 1e-300)
+    c, piv, rank, info = dpstrf(A, lower=1)
+    if info < 0:
+        raise NotPsdError("pivoted Cholesky failed (info %d)" % info)
+    n = A.shape[0]
+    c *= np.tri(n)
+    if rank < n:
+        c[:, rank:] = 0.0
+    sigma = np.empty((n, n))
+    sigma[piv - 1] = c
+    R = sigma @ sigma.T
+    R -= A
+    resid = float(np.abs(R, out=R).max())
+    if resid > 1e-10 * scale:
+        raise NotPsdError("matrix is not psd (factor residual %.3e)" % resid)
+    return sigma
+
+
+def _factor_outcome(f, G):
+    try:
+        s = f(G)
+    except NotPsdError:
+        return "NotPsdError"
+    return s.shape, s.flags.c_contiguous, s.tobytes()
+
+
+@given(m=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["full", "rank-deficient", "indefinite"]))
+@settings(max_examples=150, deadline=None)
+def test_diffusion_factor_bitwise_equal_to_scatter(m, seed, kind):
+    gen = np.random.Generator(np.random.Philox(seed))
+    rank = {"full": m, "rank-deficient": int(gen.integers(0, m)),
+            "indefinite": m}[kind]
+    # rows of very different size, so the pivots leave their order
+    X = gen.standard_normal((m, rank)) * 10.0 ** gen.uniform(-3, 3, (m, 1))
+    G = X @ X.T
+    if kind == "indefinite":
+        G[0, 0] = -abs(G[0, 0]) - 1.0
+    out = _factor_outcome(diffusion_factor, G)
+    assert out == _factor_outcome(_diffusion_factor_ref, G)
+    if kind == "indefinite":
+        assert out == "NotPsdError"
+
+
+def test_diffusion_factor_pivots_are_exercised():
+    # rank 2 of order 3, largest diagonal last: the pivot order is not 1, 2, 3
+    X = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 3.0]])
+    G = X @ X.T
+    _, piv, rank, _ = dpstrf(G + G.T, lower=1)
+    assert rank == 2 and list(piv) != sorted(piv)
+    out = _factor_outcome(diffusion_factor, G)
+    assert out != "NotPsdError"
+    assert out == _factor_outcome(_diffusion_factor_ref, G)
+
+
+def _scalar_chain_ref(params, x0, dt, n_steps, seed, margin=1e-12):
+    """Euler-Maruyama with step-halving written out with the earlier
+    closed forms, factor and np.sqrt: every outer step's state."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    x = np.asarray(x0, dtype=float).copy()
+    states = np.empty((n_steps, x.size))
+    n_rej = 0
+    for step in range(n_steps):
+        t, h, fails = 0.0, dt, 0
+        while t < dt * (1.0 - 1e-12):
+            h = min(h, dt - t)
+            b = np.asarray(_drift_simplex_ref(params, x))
+            sigma = _diffusion_factor_ref(_gamma_simplex_ref(params, x))
+            xi = rng.standard_normal(x.size)
+            prop = x + b * h + np.sqrt(h) * (sigma @ xi)
+            if _in_simplex_ref(prop, margin=margin):
+                x, t, fails = prop, t + h, 0
+            else:
+                n_rej += 1
+                fails += 1
+                assert fails <= 8
+                h *= 0.5
+        states[step] = x
+    return states, n_rej
+
+
+@pytest.mark.parametrize("weights", ["unit", "random"])
+@pytest.mark.parametrize("seed", [0, 3])
+def test_scalar_simulate_bitwise_equal_to_reference_chain(weights, seed):
+    if weights == "unit":
+        params = ScalarModelParams(np.ones((3, 3)) - np.eye(3), np.ones(3))
+    else:
+        gen = np.random.Generator(np.random.Philox(11))
+        B = gen.uniform(0.2, 2.5, (4, 4))
+        A = B + B.T
+        np.fill_diagonal(A, 0.0)
+        params = ScalarModelParams(A, np.array([1.5, 0.8, 2.2, 1.1]))
+    n = params.n
+    # a coarse step from near a corner, so that some sub-steps are halved
+    x0 = np.full(n, 0.02)
+    dt, steps = 0.02, 400
+    s = simulate(scalar_model(params), x0,
+                 SimConfig(dt=dt, n_steps=steps, seed=seed), record=True)
+    ref, n_rej = _scalar_chain_ref(params, x0, dt, steps, seed)
+    assert s.states.tobytes() == ref.tobytes()
+    assert s.n_rejections == n_rej

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matrix_dirichlet.calculus import (
     pushforward_gamma, pushforward_generator, reversibility_residual)
 from matrix_dirichlet.errors import DomainError, OffSphereError
 from matrix_dirichlet.simplex import (
     ScalarModelParams, dirichlet_grad_log, dirichlet_log_density,
-    drift_simplex, gamma_simplex, laguerre_ambient, ou_warped_ambient,
-    sample_dirichlet, sample_sphere, scalar_model, sphere_ambient)
+    drift_simplex, full_coordinates, gamma_simplex, in_simplex,
+    laguerre_ambient, ou_warped_ambient, sample_dirichlet, sample_sphere,
+    scalar_model, sphere_ambient)
 
 
 def ones_params(n, a=None):
@@ -252,3 +254,113 @@ def test_rotation_ambients_match_pair_loop(rng, sizes):
             np.outer(y, y) / r2 + G / r2).tobytes()
         assert warped.drift(y).tobytes() == (
             (N - 1.0) * y / r2 - y + b / r2).tobytes()
+
+
+# -- the vectorised closed forms against the loops they replaced --------------
+# Each reference below is the earlier implementation, kept verbatim; the
+# package's versions must give the same bits and raise where these raise.
+
+def _full_coordinates_ref(x):
+    x = np.asarray(x, dtype=float)
+    return np.append(x, 1.0 - np.sum(x))
+
+
+def _in_simplex_ref(x, margin=0.0):
+    return bool(np.all(_full_coordinates_ref(x) >= margin))
+
+
+def _gamma_simplex_ref(params, x):
+    xf = _full_coordinates_ref(x)
+    if np.any(xf < -1e-12):
+        raise DomainError("point outside the simplex")
+    n = params.n
+    A = params.A
+    G = np.empty((n, n))
+    row_sums = A[:n] @ xf
+    for i in range(n):
+        for j in range(n):
+            G[i, j] = -A[i, j] * xf[i] * xf[j]
+        G[i, i] += row_sums[i] * xf[i]
+    return G
+
+
+def _drift_simplex_ref(params, x):
+    xf = _full_coordinates_ref(x)
+    if np.any(xf < -1e-12):
+        raise DomainError("point outside the simplex")
+    n = params.n
+    A = params.A
+    a = params.a
+    return -xf[:n] * (A[:n] @ a) + a[:n] * (A[:n] @ xf)
+
+
+def _outcome(f, *args):
+    """f(*args) as raw bits, or the DomainError it raised."""
+    try:
+        out = np.asarray(f(*args))
+    except DomainError:
+        return "DomainError"
+    return out.shape, out.dtype, out.tobytes()
+
+
+def _assert_same_as_reference(params, x):
+    assert _outcome(full_coordinates, x) == _outcome(_full_coordinates_ref, x)
+    for margin in (0.0, 1e-12, -1e-12):
+        assert in_simplex(x, margin) is _in_simplex_ref(x, margin)
+    assert (_outcome(gamma_simplex, params, x)
+            == _outcome(_gamma_simplex_ref, params, x))
+    assert (_outcome(drift_simplex, params, x)
+            == _outcome(_drift_simplex_ref, params, x))
+
+
+def _random_params(gen, n):
+    """Non-unit symmetric weights, some of them zero, and random exponents."""
+    A = gen.uniform(0.05, 3.0, (n + 1, n + 1))
+    A *= gen.uniform(size=A.shape) > 0.2
+    A = A + A.T
+    np.fill_diagonal(A, 0.0)
+    return ScalarModelParams(A, gen.uniform(0.2, 4.0, n + 1))
+
+
+POINT_KINDS = ["interior", "boundary", "last-boundary", "outside",
+               "nan", "inf", "-inf"]
+
+
+def _point(gen, n, kind):
+    x = sample_dirichlet(np.ones(n + 1), gen)
+    i = gen.integers(n)
+    if kind == "boundary":
+        x[i] = 0.0
+    elif kind == "last-boundary":
+        x[i] = 1.0 - (np.sum(x) - x[i])  # x_{n+1} at roundoff from 0
+    elif kind == "outside":
+        # just outside: some of these pass the -1e-12 tolerance, some not
+        x[i] = -gen.choice([0.5e-12, 1e-12, 2e-12, 1e-9, 1e-3])
+    elif kind != "interior":
+        x[i] = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf}[kind]
+    return x
+
+
+@given(n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(POINT_KINDS))
+@settings(max_examples=300, deadline=None)
+def test_closed_forms_bitwise_equal_to_loops(n, seed, kind):
+    gen = np.random.Generator(np.random.Philox(seed))
+    params = _random_params(gen, n)
+    _assert_same_as_reference(params, _point(gen, n, kind))
+
+
+@given(x=st.lists(st.floats(allow_nan=True, allow_infinity=True),
+                  min_size=1, max_size=5),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_closed_forms_bitwise_equal_on_any_floats(x, seed):
+    gen = np.random.Generator(np.random.Philox(seed))
+    x = np.array(x)
+    with np.errstate(all="ignore"):
+        _assert_same_as_reference(_random_params(gen, x.size), x)
+
+
+def test_full_coordinates_flattens_like_append():
+    x = np.array([[0.25], [0.5]])
+    assert full_coordinates(x).tobytes() == _full_coordinates_ref(x).tobytes()
