@@ -16,11 +16,13 @@ import numpy as np
 
 from .errors import MatrixDirichletError, StepRejectedError
 from .matrix_simplex import (
-    MatrixSimplexPoint, Model1Params, model1, model2, params_from_json,
-    point_to_real, simplex_layout)
+    MatrixSimplexPoint, Model1Params, _direct_draws, model1, model2,
+    params_from_json, point_to_real, simplex_layout)
 from .sde import SimConfig, simulate, write_path_csv
 from .verify import SUITE_NAMES, format_report, run_suite
-from .wishart import sample_matrix_dirichlet_direct
+
+# direct draws per batch in `sample`: bounds its memory for any --n
+_SAMPLE_CHUNK = 4096
 
 
 def _out_problem(path):
@@ -127,18 +129,20 @@ def _cmd_sample(args, parser):
 
 
 def _write_draws(path, d, dims, count, seed):
-    """count direct matrix Dirichlet draws as CSV rows of real coordinates."""
-    n = len(dims) - 1
+    """count direct matrix Dirichlet draws as CSV rows of real coordinates,
+    drawn and written _SAMPLE_CHUNK at a time."""
+    layout = simplex_layout(len(dims) - 1, d)
     rng = np.random.Generator(np.random.Philox(seed))
     with open(path, "w", newline="") as fh:
         fh.write("# law: matrix-dirichlet d=%d dims=%s seed=%d\n"
                  % (d, ",".join(str(r) for r in dims), seed))
         writer = csv.writer(fh)
-        writer.writerow(simplex_layout(n, d).coordinate_names())
-        for _ in range(count):
-            point = sample_matrix_dirichlet_direct(d, dims, rng)
-            row = point_to_real(point)
-            writer.writerow(["%.12g" % v for v in row])
+        writer.writerow(layout.coordinate_names())
+        for start in range(0, count, _SAMPLE_CHUNK):
+            Z = _direct_draws(d, dims, rng, min(_SAMPLE_CHUNK, count - start))
+            rows = Z.view(float).reshape(len(Z), -1)[:, layout._take]
+            writer.writerows([["%.12g" % v for v in row]
+                              for row in rows.tolist()])
 
 
 def _int_at_least(minimum):

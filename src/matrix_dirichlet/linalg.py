@@ -6,8 +6,10 @@ That determinism is what makes finite-difference differentiation of the
 eigenvector matrix well defined (away from spectral collisions).
 """
 
+import functools
+
 import numpy as np
-from scipy.linalg import qr
+from scipy.linalg.lapack import zgeqrf, zungqr
 
 from .errors import NotPsdError, SpectralGapError
 
@@ -93,22 +95,45 @@ def hermitian_eigen(H, gap_tol=1e-8):
 
 
 def sqrtm_psd(S):
-    """Hermitian square root of a positive semi-definite Hermitian matrix."""
+    """Hermitian square root of a positive semi-definite Hermitian matrix,
+    or of each matrix in a stack (..., d, d).
+
+    Raises NotPsdError for the first matrix with an eigenvalue below
+    -1e-10 max(|S|_F, 1); eigenvalues above that are clipped at 0.
+    """
     S = np.asarray(S, dtype=complex)
-    scale = max(np.linalg.norm(S), 1.0)
     w, U = np.linalg.eigh(S)
-    if np.min(w) < -1e-10 * scale:
-        raise NotPsdError("matrix is not psd (min eigenvalue %.3e)" % np.min(w))
+    low = w[..., 0]
+    for k in np.flatnonzero(low < 0):
+        scale = max(np.linalg.norm(S.reshape(-1, *S.shape[-2:])[k]), 1.0)
+        if low.flat[k] < -1e-10 * scale:
+            raise NotPsdError("matrix is not psd (min eigenvalue %.3e)"
+                              % low.flat[k])
     w = np.clip(w, 0.0, None)
-    return _hermitize(U @ np.diag(np.sqrt(w)) @ U.conj().T)
+    return _hermitize((U * np.sqrt(w)[..., None, :])
+                      @ U.conj().swapaxes(-1, -2))
+
+
+@functools.cache
+def _qr_lwork(N):
+    """Optimal LAPACK workspace sizes of zgeqrf and zungqr at order N."""
+    a = np.zeros((N, N), dtype=complex)
+    qr, tau, work, _ = zgeqrf(a, lwork=-1)
+    return int(work[0].real), int(zungqr(qr, tau, lwork=-1)[1][0].real)
 
 
 def haar_unitary(N, rng, special=False):
-    """Haar-distributed unitary via QR of a Ginibre matrix."""
+    """Haar-distributed unitary via QR of a Ginibre matrix (Mezzadri,
+    Notices AMS 2007): Q with each column rotated by the phase of R's
+    diagonal entry, and with special=True also scaled to determinant 1.
+    LAPACK zgeqrf/zungqr are called directly with their optimal
+    workspace."""
     z = (rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N)))
     z /= np.sqrt(2.0)
-    q, r = qr(z)
-    diag = np.diag(r)
+    lwork_qr, lwork_q = _qr_lwork(N)
+    qr, tau = zgeqrf(z, lwork=lwork_qr, overwrite_a=1)[:2]
+    diag = qr.diagonal().copy()  # zungqr overwrites qr with Q
+    q = zungqr(qr, tau, lwork=lwork_q, overwrite_a=1)[0]
     q = q * (diag / np.abs(diag))
     if special:
         q = q * np.exp(-1j * np.angle(np.linalg.det(q)) / N)

@@ -26,7 +26,7 @@ from scipy.special import gammaln
 
 from .calculus import DiffusionModel
 from .errors import DomainError
-from .linalg import sqrtm_psd
+from .linalg import _hermitize, sqrtm_psd
 from .realify import simplex_layout
 
 
@@ -103,23 +103,46 @@ def in_matrix_simplex(x, n, d, margin=1e-12):
     return True
 
 
-def _ginibre_squares(d, dims, rng):
+def _ginibre_squares(d, dims, rng, K):
     """G G* for one standard complex Ginibre d x r matrix G per r in dims
-    (entry variance 2): independent complex Wishart blocks, stacked."""
-    out = np.empty((len(dims), d, d), dtype=complex)
+    (entry variance 2), for each of K draws: independent complex Wishart
+    blocks, stacked as (K, len(dims), d, d).
+
+    All normals come from one (K, 2 d sum(dims)) array.  Row k holds draw
+    k's blocks in turn, each as the Re and then the Im part of its d x r
+    matrix, so K draws read the stream exactly as K draws of one do.
+    """
+    dims = [int(r) for r in dims]
+    z = rng.standard_normal((K, 2 * d * sum(dims)))
+    out = np.empty((K, len(dims), d, d), dtype=complex)
+    off = 0
     for p, r in enumerate(dims):
-        r = int(r)
-        G = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
-        out[p] = G @ G.conj().T
+        size = d * r
+        G = (z[:, off:off + size].reshape(K, d, r)
+             + 1j * z[:, off + size:off + 2 * size].reshape(K, d, r))
+        out[:, p] = G @ G.conj().swapaxes(1, 2)
+        off += 2 * size
     return out
+
+
+def _direct_draws(d, dims, rng, K):
+    """K exact matrix Dirichlet draws with a_p = d_p - d + 1 via Wishart
+    ratios S^(-1/2) W^(p) S^(-1/2), S = sum W: the free blocks as a
+    (K, n, d, d) stack.  Draw k has the bits of the k-th of K sequential
+    sample_matrix_dirichlet_direct calls on the same rng."""
+    Ws = _ginibre_squares(d, dims, rng, K)
+    # one add per block, in order, as Python's sum over one draw's blocks
+    # does; Ws.sum(axis=1) groups the adds differently and moves the bits
+    S = np.zeros((K, d, d), dtype=complex)
+    for p in range(len(dims)):
+        S += Ws[:, p]
+    Tis = np.linalg.inv(sqrtm_psd(S))[:, None]
+    return _hermitize(Tis @ Ws[:, :-1] @ Tis)
 
 
 def sample_matrix_dirichlet_direct(d, dims, rng):
     """Exact matrix Dirichlet draw with a_p = d_p - d + 1 via Wishart ratios."""
-    Ws = _ginibre_squares(d, dims, rng)
-    Tis = np.linalg.inv(sqrtm_psd(sum(Ws)))
-    Z = Tis @ Ws[:-1] @ Tis
-    return MatrixSimplexPoint(0.5 * (Z + Z.conj().swapaxes(1, 2)), check=False)
+    return MatrixSimplexPoint(_direct_draws(d, dims, rng, 1)[0], check=False)
 
 
 def sample_interior(n, d, rng, margin=1e-6):

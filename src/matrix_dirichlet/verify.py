@@ -20,10 +20,11 @@ from .calculus import (
     pushforward_gamma, pushforward_generator, reversibility_residual)
 from .linalg import haar_unitary
 from .matrix_simplex import (
-    MatrixSimplexPoint, Model1Params, Model2Params, drift_model1_entries,
-    drift_model2_entries, ellipticity_model1, gamma_model1, gamma_model1_entries,
-    gamma_model2, gamma_model2_entries, matrix_dirichlet_grad_log, model1,
-    model2, point_to_real, real_to_point, sample_interior, simplex_layout)
+    MatrixSimplexPoint, Model1Params, Model2Params, _ginibre_squares,
+    drift_model1_entries, drift_model2_entries, ellipticity_model1,
+    gamma_model1, gamma_model1_entries, gamma_model2, gamma_model2_entries,
+    matrix_dirichlet_grad_log, model1, model2, point_to_real, real_to_point,
+    sample_interior, simplex_layout)
 from .polar import (
     PolarFrame, closed_form_polar_system, complex_bm_ambient,
     degenerate_dirichlet_params, diagonal_point_forms, invariance_transport,
@@ -533,11 +534,8 @@ def _suite_sun(rng, samples):
 
 def _scalar_wishart_pairs(rng, M):
     """M draws of sample_wishart_family(1, [2.0, 2.0], rng) as an (M, 2)
-    array of the two 1 x 1 blocks, from one normal array in the sampler's
-    stream order: Re then Im of each block's 1 x 2 Ginibre row."""
-    z = rng.standard_normal((M, 2, 2, 1, 2))
-    G = z[:, :, 0] + 1j * z[:, :, 1]
-    return (G @ G.conj().swapaxes(-1, -2))[:, :, 0, 0].real
+    array of the two 1 x 1 blocks, from the sampler's batched kernel."""
+    return _ginibre_squares(1, [2, 2], rng, M)[:, :, 0, 0].real
 
 
 def _suite_wishart(rng, samples):

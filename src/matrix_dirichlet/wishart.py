@@ -128,7 +128,8 @@ def wishart_grad_log(dims, W_list):
 def sample_wishart_family(d, dims, rng):
     """Stationary draw: W^(p) = G G* with standard complex Ginibre columns
     (entry variance 2, matching the exp(-tr W / 2) reversible law)."""
-    return WishartFamily(_ginibre_squares(d, dims, rng), dims, check=False)
+    return WishartFamily(_ginibre_squares(d, dims, rng, 1)[0], dims,
+                         check=False)
 
 
 # -- the (S, lambda, N, M, U, Z) frame ----------------------------------------

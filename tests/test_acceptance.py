@@ -10,9 +10,10 @@ import numpy as np
 from matrix_dirichlet.calculus import reversibility_residual
 from matrix_dirichlet.linalg import hermitian_eigen
 from matrix_dirichlet.matrix_simplex import (
-    MatrixSimplexPoint, Model1Params, Model2Params, ellipticity_model1,
-    gamma_model1, matrix_dirichlet_grad_log, model1, model2, point_to_real,
-    real_to_point, sample_interior, sylvester_spectrum)
+    MatrixSimplexPoint, Model1Params, Model2Params, _direct_draws,
+    ellipticity_model1, gamma_model1, matrix_dirichlet_grad_log, model1,
+    model2, point_to_real, real_to_point, sample_interior, simplex_layout,
+    sylvester_spectrum)
 from matrix_dirichlet.poly import MultiPoly, check_boundary_affine_exact
 from matrix_dirichlet.realify import HermLayout
 from matrix_dirichlet.sde import (
@@ -42,6 +43,14 @@ def _report(num, desc, ok):
 
 def _rng(salt):
     return np.random.Generator(np.random.Philox(900000 + salt))
+
+
+def _direct_rows(M, rng):
+    """M direct draws at d = 2, dims (3, 3) as rows of real coordinates,
+    from one batched call: the same numbers as M sequential
+    sample_matrix_dirichlet_direct calls."""
+    Z = _direct_draws(2, [3, 3], rng, M)
+    return Z.view(float).reshape(M, -1)[:, simplex_layout(1, 2)._take]
 
 
 # -- 1. chain-rule identity suites --------------------------------------------
@@ -258,10 +267,7 @@ def test_criterion_5_stationarity():
     s = simulate(mod2, x0, cfg, record=True)
     # direct Wishart-ratio sampler moments
     M = 20000
-    draws = np.empty((M, 4))
-    for m in range(M):
-        draws[m] = point_to_real(sample_matrix_dirichlet_direct(
-            2, [3, 3], rng))
+    draws = _direct_rows(M, rng)
     mean_d = draws.mean(axis=0)
     se_d = draws.std(axis=0) / np.sqrt(M)
     zc1 = moment_test(s.mean, s.se_mean, mean_d, se_d)["max_abs_z"]
@@ -291,10 +297,7 @@ def test_criterion_6_haar_image():
     for m in range(M):
         u = haar_unitary(6, rng, special=True)
         ext[m] = point_to_real(extract_Z(u, part))
-    direct = np.empty((M, 4))
-    for m in range(M):
-        direct[m] = point_to_real(sample_matrix_dirichlet_direct(
-            2, [3, 3], rng))
+    direct = _direct_rows(M, rng)
     z1 = moment_test(ext.mean(axis=0), ext.std(axis=0) / np.sqrt(M),
                      direct.mean(axis=0),
                      direct.std(axis=0) / np.sqrt(M))["max_abs_z"]

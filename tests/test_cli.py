@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import os
@@ -8,8 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from matrix_dirichlet.cli import main
-from matrix_dirichlet.matrix_simplex import Model1Params, params_to_json
+from matrix_dirichlet.cli import _SAMPLE_CHUNK, main
+from matrix_dirichlet.matrix_simplex import (
+    Model1Params, params_to_json, point_to_real, simplex_layout)
+from matrix_dirichlet.wishart import sample_matrix_dirichlet_direct
 
 
 @pytest.fixture
@@ -122,6 +125,38 @@ def test_sample_matrix_draws_valid(tmp_path):
         assert in_matrix_simplex(row, 1, 2, margin=-1e-10)
 
 
+def _write_draws_loop(path, d, dims, count, seed):
+    """The sample CSV written one draw and one row at a time."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    with open(path, "w", newline="") as fh:
+        fh.write("# law: matrix-dirichlet d=%d dims=%s seed=%d\n"
+                 % (d, ",".join(str(r) for r in dims), seed))
+        writer = csv.writer(fh)
+        writer.writerow(simplex_layout(len(dims) - 1, d).coordinate_names())
+        for _ in range(count):
+            row = point_to_real(sample_matrix_dirichlet_direct(d, dims, rng))
+            writer.writerow(["%.12g" % v for v in row])
+
+
+@pytest.mark.parametrize("d,dims,count", [
+    (2, [3, 4, 3], _SAMPLE_CHUNK + 3),
+    (1, [2, 2], 2 * _SAMPLE_CHUNK),
+    (3, [4, 4], 7),
+])
+def test_sample_csv_bytes_equal_to_single_draw_loop(d, dims, count,
+                                                    tmp_path):
+    out = tmp_path / "s.csv"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["sample", "--law", "matrix-dirichlet", "--d", str(d),
+                     "--dims", ",".join(map(str, dims)), "--n", str(count),
+                     "--seed", "5", "--out", str(out)]) == 0
+    ref = tmp_path / "ref.csv"
+    _write_draws_loop(ref, d, dims, count, 5)
+    data = out.read_bytes()
+    assert data == ref.read_bytes()
+    assert data.count(b"\r\n") == count + 1  # csv line ends after the header
+
+
 def test_sample_invalid_dims_exits_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["sample", "--law", "matrix-dirichlet", "--d", "2",
@@ -231,7 +266,7 @@ def test_unwritable_out_exits_2_before_any_work(command, where, tmp_path,
     def no_work(*args, **kwargs):
         raise AssertionError("work ran before --out was checked")
 
-    for name in ("run_suite", "simulate", "sample_matrix_dirichlet_direct"):
+    for name in ("run_suite", "simulate", "_direct_draws"):
         monkeypatch.setattr(cli, name, no_work)
     assert main(argv + ["--out", out]) == 2
     assert "error: cannot write --out" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from matrix_dirichlet.errors import NotPsdError, SpectralGapError
@@ -99,3 +100,64 @@ def test_haar_unitary(rng):
         u = haar_unitary(N, rng, special=True)
         np.testing.assert_allclose(u @ u.conj().T, np.eye(N), atol=1e-12)
         assert abs(np.linalg.det(u) - 1.0) < 1e-10
+
+
+def _sqrtm_psd_single(S):
+    """The square root one matrix at a time, through a diagonal matrix."""
+    w, U = np.linalg.eigh(S)
+    if np.min(w) < -1e-10 * max(np.linalg.norm(S), 1.0):
+        raise NotPsdError("not psd")
+    root = U @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ U.conj().T
+    return 0.5 * (root + root.conj().T)
+
+
+@given(d=st.integers(1, 6), rank=st.integers(1, 8), K=st.integers(1, 5),
+       seed=st.integers(0, 2**31))
+@settings(max_examples=40, deadline=None)
+def test_sqrtm_psd_stack_bitwise_equal_to_single_roots(d, rank, K, seed):
+    rng = np.random.Generator(np.random.Philox(seed))
+    G = rng.standard_normal((K, d, rank)) + 1j * rng.standard_normal(
+        (K, d, rank))
+    S = G @ G.conj().swapaxes(1, 2)
+    roots = sqrtm_psd(S)
+    assert roots.shape == (K, d, d)
+    for k in range(K):
+        assert roots[k].tobytes() == _sqrtm_psd_single(S[k]).tobytes()
+        assert sqrtm_psd(S[k]).tobytes() == roots[k].tobytes()
+
+
+def test_sqrtm_psd_stack_rejects_any_indefinite_matrix():
+    S = np.stack([np.eye(2), np.diag([1.0, -1e-3]), np.eye(2)])
+    with pytest.raises(NotPsdError, match="-1.000e-03"):
+        sqrtm_psd(S)
+    # roundoff below zero is clipped, as for a single matrix
+    tiny = np.stack([np.eye(2), np.diag([1.0, -1e-12])])
+    np.testing.assert_array_equal(sqrtm_psd(tiny)[1], np.diag([1.0, 0.0]))
+
+
+def _qr_haar(N, rng, special):
+    """The Haar draw through scipy.linalg.qr."""
+    z = (rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N)))
+    z /= np.sqrt(2.0)
+    q, r = scipy.linalg.qr(z)
+    diag = np.diag(r)
+    q = q * (diag / np.abs(diag))
+    if special:
+        q = q * np.exp(-1j * np.angle(np.linalg.det(q)) / N)
+    return q
+
+
+@pytest.mark.parametrize("special", [False, True])
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6, 7, 8, 40, 130])
+def test_haar_unitary_bitwise_equal_to_scipy_qr(N, special):
+    # N = 40 is above LAPACK's block size (32); N = 130 is above the
+    # crossover (128) where zgeqrf and zungqr switch to their blocked
+    # code, which they take only with a large enough workspace
+    rngs = [np.random.Generator(np.random.Philox(N)) for _ in range(2)]
+    for _ in range(20 if N < 40 else 3):
+        u = haar_unitary(N, rngs[0], special=special)
+        ref = _qr_haar(N, rngs[1], special)
+        assert u.shape == ref.shape
+        assert np.ascontiguousarray(u).tobytes() == \
+            np.ascontiguousarray(ref).tobytes()
+    assert rngs[0].standard_normal() == rngs[1].standard_normal()

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import gamma as gamma_dist
 
 from matrix_dirichlet.calculus import (
     jacobian, pushforward_gamma, pushforward_generator,
     reversibility_residual)
+from matrix_dirichlet.cli import _SAMPLE_CHUNK
 from matrix_dirichlet.errors import DomainError
 from matrix_dirichlet.matrix_simplex import (
-    drift_model2_entries, gamma_model2_entries)
+    _direct_draws, _ginibre_squares, drift_model2_entries,
+    gamma_model2_entries)
 from matrix_dirichlet.realify import HermLayout
 from matrix_dirichlet.sde import em_step
 from matrix_dirichlet.verify import check_frame_identities
@@ -255,6 +258,49 @@ def test_direct_sampler_moments(rng):
         acc += p.Z[0]
     np.testing.assert_allclose(acc / M2, 0.5 * np.eye(2),
                                atol=5.0 / np.sqrt(M2))
+
+
+def _direct_draw_loop(d, dims, rng):
+    """One direct draw as single calls: each block's Ginibre matrix drawn
+    on its own, S by Python's sum, the root through a diagonal matrix.
+    Returns the Wishart blocks and the free simplex blocks."""
+    Ws = np.empty((len(dims), d, d), dtype=complex)
+    for p, r in enumerate(dims):
+        G = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
+        Ws[p] = G @ G.conj().T
+    S = sum(Ws)
+    w, U = np.linalg.eigh(S)
+    root = U @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ U.conj().T
+    Tis = np.linalg.inv(0.5 * (root + root.conj().T))
+    Z = Tis @ Ws[:-1] @ Tis
+    return Ws, 0.5 * (Z + Z.conj().swapaxes(1, 2))
+
+
+@given(d=st.integers(1, 3), extra=st.lists(st.integers(0, 4), min_size=2,
+                                           max_size=4, unique=True),
+       K=st.sampled_from([1, 2, _SAMPLE_CHUNK - 1, _SAMPLE_CHUNK,
+                          _SAMPLE_CHUNK + 1]),
+       seed=st.integers(0, 2**31))
+@settings(max_examples=12, deadline=None)
+def test_batched_draws_bitwise_equal_to_single_call_loop(d, extra, K, seed):
+    dims = [d + e for e in extra]  # unequal Wishart degrees, all >= d
+    rngs = [np.random.Generator(np.random.Philox(seed)) for _ in range(3)]
+    loop = [_direct_draw_loop(d, dims, rngs[0]) for _ in range(K)]
+    Ws = _ginibre_squares(d, dims, rngs[1], K)
+    assert Ws.shape == (K, len(dims), d, d)
+    assert Ws.tobytes() == np.array([w for w, _ in loop]).tobytes()
+    Z = _direct_draws(d, dims, rngs[2], K)
+    assert Z.shape == (K, len(dims) - 1, d, d)
+    assert Z.tobytes() == np.array([z for _, z in loop]).tobytes()
+    # the single-draw functions are K = 1 views of the same kernels
+    W1, Z1 = loop[0]
+    fresh = np.random.Generator(np.random.Philox(seed))
+    assert sample_wishart_family(d, dims, fresh).W.tobytes() == W1.tobytes()
+    fresh = np.random.Generator(np.random.Philox(seed))
+    assert sample_matrix_dirichlet_direct(d, dims, fresh).Z.tobytes() == \
+        Z1.tobytes()
+    # every batch leaves the stream where the loop left it
+    assert len({r.standard_normal() for r in rngs}) == 1
 
 
 def test_sample_smz_frame_propagates_foreign_errors(rng, monkeypatch):
