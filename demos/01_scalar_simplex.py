@@ -36,12 +36,17 @@ Asp = np.array([[0.0, 1.0, 0.7],
                 [0.7, 1.3, 0.0]])
 model_sphere, proj = sphere_ambient(p_sizes, Asp)
 params_img = ScalarModelParams(Asp, np.array(p_sizes) / 2.0)
+
+
+def image_forms(y):
+    z = proj(y)
+    return gamma_simplex(params_img, z), drift_simplex(params_img, z)
+
+
 report = check_identity(
-    model_sphere, proj,
-    lambda y: gamma_simplex(params_img, proj(y)),
-    lambda y: drift_simplex(params_img, proj(y)),
-    lambda: sample_sphere(sum(p_sizes), rng),
-    n_samples=10, name="sphere -> simplex")
+    model_sphere, proj, image_forms,
+    [sample_sphere(sum(p_sizes), rng) for _ in range(10)],
+    name="sphere -> simplex")
 print("\nsphere pushforward: max residual %.2e (pass=%s)"
       % (report.max_abs_residual, report.passed))
 

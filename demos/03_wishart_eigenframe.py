@@ -9,7 +9,7 @@ law matches the direct Wishart-ratio sampler.
 
 import numpy as np
 
-from matrix_dirichlet.calculus import pushforward_gamma, pushforward_generator
+from matrix_dirichlet.calculus import pushforward_generator
 from matrix_dirichlet.matrix_simplex import (
     drift_model2_entries, gamma_model2_entries)
 from matrix_dirichlet.wishart import (
@@ -29,8 +29,7 @@ print(np.round(fr.Z[0], 4))
 ambient = wishart_ambient(d, dims)
 F, stack = smz_projection(d, dims, base_frame=fr)
 x = wishart_layout(len(dims), d).to_real(family.W)
-G = pushforward_gamma(ambient, F, x)
-L = pushforward_generator(ambient, F, x)
+G, L = pushforward_generator(ambient, F, x)
 sys = closed_form_smz_system(fr)
 
 T = stack.entries_block(G, "S", "S")

@@ -8,7 +8,7 @@ template with exponents 2 - d.
 
 import numpy as np
 
-from matrix_dirichlet.calculus import pushforward_gamma, pushforward_generator
+from matrix_dirichlet.calculus import pushforward_generator
 from matrix_dirichlet.matrix_simplex import (
     MatrixSimplexPoint, drift_model1_entries, gamma_model1_entries)
 from matrix_dirichlet.polar import (
@@ -31,8 +31,7 @@ ambient = complex_bm_ambient(d)
 F, stack = polar_projection(d, base_frame=fr)
 lay = CplxLayout(d * d, shape=(d, d))
 x = lay.to_real(m)
-G = pushforward_gamma(ambient, F, x)
-L = pushforward_generator(ambient, F, x)
+G, L = pushforward_generator(ambient, F, x)
 sys = closed_form_polar_system(fr)
 
 T = stack.entries_block(G, "lam", "lam")

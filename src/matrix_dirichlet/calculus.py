@@ -122,7 +122,8 @@ def pushforward_gamma(ambient, F, x):
 
 
 def pushforward_generator(ambient, F, x):
-    """J b + sum_ij G_ij d2_ij F: the drift of the image coordinates."""
+    """The image operator at F(x) from one Jacobian J of F:
+    (J G J^T, J b + sum_ij G_ij d2_ij F)."""
     x = np.asarray(x, dtype=float)
     J = jacobian(F, x, domain_test=ambient.domain_test)
     out = J @ np.asarray(ambient.drift(x))
@@ -136,45 +137,37 @@ def pushforward_generator(ambient, F, x):
             continue
         d2 = _directional_second(F, x, V[:, m], step, ambient.domain_test, f0)
         out = out + w[m] * d2
-    return out
+    return J @ G @ J.T, out
 
 
-def check_identity(ambient, F, closed_gamma, closed_drift, sampler,
-                   n_samples=30, tol_g=1e-6, tol_l=1e-4, name="identity"):
-    """Compare pushforward Gamma/L against closed forms at sampled points.
+def check_identity(ambient, F, closed, points, tol_g=1e-6, tol_l=1e-4,
+                   relative=False, name="identity"):
+    """Compare the pushforward (Gamma, L) against closed forms at points.
 
-    closed_gamma/closed_drift are called with the ambient sample point and
-    must return the expected out_dim x out_dim matrix / out_dim vector in the
-    image coordinates (they may build whatever frame data they need from the
-    point).  Either may be None to skip that half.
+    closed(x) is called with the ambient point x and returns the expected
+    out_dim x out_dim co-metric and out_dim drift in the image coordinates.
+    Residuals are |oracle - closed|, divided by 1 + |closed| when relative.
+    Each half is judged against its own tolerance; the report carries the
+    residual, tolerance and worst point of the half furthest past its own.
     """
-    halves = {"gamma": (closed_gamma, tol_g, pushforward_gamma),
-              "drift": (closed_drift, tol_l, pushforward_generator)}
     details = {key: {"residual": 0.0, "tol": tol, "worst_index": None}
-               for key, (closed, tol, _) in halves.items()
-               if closed is not None}
-    for s in range(n_samples):
-        x = np.asarray(sampler(), dtype=float)
-        for key, d in details.items():
-            closed, _, oracle = halves[key]
-            r = float(np.max(np.abs(oracle(ambient, F, x)
-                                    - np.asarray(closed(x)))))
+               for key, tol in (("gamma", tol_g), ("drift", tol_l))}
+    for s, x in enumerate(points):
+        x = np.asarray(x, dtype=float)
+        for d, got, want in zip(details.values(),
+                                pushforward_generator(ambient, F, x),
+                                closed(x)):
+            diff = np.abs(got - want)
+            if relative:
+                diff = diff / (1.0 + np.abs(want))
+            r = float(np.max(diff))
             if r > d["residual"]:
                 d.update(residual=r, worst_index=s)
     for d in details.values():
         d["pass"] = d["residual"] <= d["tol"]
-    # each half is judged against its own tolerance; the worst sample is
-    # the one of the half furthest past its tolerance
-    top = max(details.values(), key=lambda d: d["residual"] / d["tol"],
-              default=None)
-    rep = VerificationReport(
-        name, n_samples,
-        max((d["residual"] for d in details.values()), default=0.0),
-        tol=max(tol_g, tol_l),
-        worst_index=None if top is None else top["worst_index"],
-        details=details)
-    rep.passed = all(d["pass"] for d in details.values())
-    return rep
+    top = max(details.values(), key=lambda d: d["residual"] / d["tol"])
+    return VerificationReport(name, len(points), top["residual"], top["tol"],
+                              worst_index=top["worst_index"], details=details)
 
 
 def reversibility_residual(model, grad_log_density, x):

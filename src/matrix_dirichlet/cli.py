@@ -18,7 +18,7 @@ from .errors import MatrixDirichletError, StepRejectedError
 from .matrix_simplex import (
     MatrixSimplexPoint, Model1Params, _direct_draws, model1, model2,
     params_from_json, point_to_real, simplex_layout)
-from .sde import SimConfig, simulate, write_path_csv
+from .sde import SimConfig, _write_rows, simulate, write_path_csv
 from .verify import SUITE_NAMES, format_report, run_suite
 
 # direct draws per batch in `sample`: bounds its memory for any --n
@@ -136,13 +136,11 @@ def _write_draws(path, d, dims, count, seed):
     with open(path, "w", newline="") as fh:
         fh.write("# law: matrix-dirichlet d=%d dims=%s seed=%d\n"
                  % (d, ",".join(str(r) for r in dims), seed))
-        writer = csv.writer(fh)
-        writer.writerow(layout.coordinate_names())
+        csv.writer(fh).writerow(layout.coordinate_names())
         for start in range(0, count, _SAMPLE_CHUNK):
             Z = _direct_draws(d, dims, rng, min(_SAMPLE_CHUNK, count - start))
             rows = Z.view(float).reshape(len(Z), -1)[:, layout._take]
-            writer.writerows([["%.12g" % v for v in row]
-                              for row in rows.tolist()])
+            _write_rows(fh, rows)
 
 
 def _int_at_least(minimum):

@@ -27,6 +27,7 @@ from .errors import NotPsdError, StepRejectedError
 
 _N_BATCHES = 20  # batch-means batches of every simulated path
 _MAX_STEP_RETRIES = 8  # halvings of one sub-step before a path fails
+_CSV_BLOCK = 4096  # rows per write of a CSV file
 # Sub-steps of one outer step before a path fails.  The step size only
 # shrinks within an outer step, so without this bound a dt far too large
 # for the model can leave h so small that the step never ends.
@@ -144,7 +145,7 @@ def _em_chain(model, x, dt, rng, retries):
     return x, n_rej
 
 
-def em_step(model, x, dt, rng, retries=8):
+def em_step(model, x, dt, rng, retries=_MAX_STEP_RETRIES):
     """One Euler-Maruyama increment of total length dt (sub-stepped on
     domain exits)."""
     out, _ = _em_chain(model, x, dt, rng, retries)
@@ -232,10 +233,18 @@ def write_path_csv(summary, path, names=None):
         fh.write("# config: %s\n" % json.dumps(summary.config.to_dict()))
         fh.write("# count: %d\n" % summary.count)
         fh.write("# rejections: %d\n" % summary.n_rejections)
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        for row in summary.states:
-            writer.writerow(["%.12g" % v for v in row])
+        csv.writer(fh).writerow(names)
+        _write_rows(fh, summary.states)
+
+
+def _write_rows(fh, rows):
+    """The rows of a 2-D float array as CSV lines of "%.12g" values, the
+    bytes csv.writer gives them, formatted and written _CSV_BLOCK rows at a
+    time."""
+    fmt = ",".join(["%.12g"] * rows.shape[1]) + "\r\n"
+    for start in range(0, len(rows), _CSV_BLOCK):
+        fh.write("".join([fmt % tuple(row) for row in
+                          rows[start:start + _CSV_BLOCK].tolist()]))
 
 
 # 1-D reference diffusions used to calibrate the integrator.  All three

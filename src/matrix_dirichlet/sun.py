@@ -337,15 +337,13 @@ def verify_casimir_image(N, partition, rng, n_samples=50,
     params = image_params(partition)
     ulay = sun_layout(N)
 
-    def closed(form):
-        return lambda x: form(params, extract_Z(ulay.from_real(x), partition))
+    def closed(x):
+        point = extract_Z(ulay.from_real(x), partition)
+        return gamma_model1(params, point), drift_model1(params, point)
 
-    def sampler():
-        return ulay.to_real(haar_unitary(N, rng, special=True))
-
-    return check_identity(ambient, F, closed(gamma_model1),
-                          closed(drift_model1), sampler,
-                          n_samples=n_samples, tol_g=tol_g, tol_l=tol_l,
+    points = [ulay.to_real(haar_unitary(N, rng, special=True))
+              for _ in range(n_samples)]
+    return check_identity(ambient, F, closed, points, tol_g, tol_l,
                           name="sun-extraction")
 
 

@@ -17,7 +17,7 @@ pass band.
 import numpy as np
 
 from .calculus import (
-    pushforward_gamma, pushforward_generator, reversibility_residual)
+    check_identity, pushforward_generator, reversibility_residual)
 from .linalg import haar_unitary
 from .matrix_simplex import (
     MatrixSimplexPoint, Model1Params, Model2Params, _ginibre_squares,
@@ -172,8 +172,7 @@ def _check_table(frames, table):
     """
     worst = {}
     for ambient, F, stack, x, forms in frames:
-        G = pushforward_gamma(ambient, F, x)
-        L = pushforward_generator(ambient, F, x)
+        G, L = pushforward_generator(ambient, F, x)
         for key, kind, a, b, half in table:
             if b is None:
                 got = (stack.drift_entries(L, a) if kind == "entries"
@@ -300,20 +299,13 @@ def _record_worst(checks, prefix, worsts, n_samples):
 
 def _image_check(checks, name, ambient, F, points, closed, relative=False,
                  tol_g=TOL_GAMMA, tol_l=TOL_DRIFT):
-    """Checks name.gamma and name.L: the oracle's image co-metric and drift
-    at each ambient point x against closed(F(x)) = (Gamma, L), as
-    |oracle - closed|, divided by 1 + |closed| when relative."""
-    rg = rl = 0.0
-    for x in points:
-        eg, el = closed(F(x))
-        dg = np.abs(pushforward_gamma(ambient, F, x) - eg)
-        dl = np.abs(pushforward_generator(ambient, F, x) - el)
-        if relative:
-            dg, dl = dg / (1.0 + np.abs(eg)), dl / (1.0 + np.abs(el))
-        rg = max(rg, float(np.max(dg)))
-        rl = max(rl, float(np.max(dl)))
-    _check(checks, name + ".gamma", rg, tol_g, len(points))
-    _check(checks, name + ".L", rl, tol_l, len(points))
+    """Checks name.gamma and name.L: the two halves of one check_identity
+    report against closed(F(x)) = (Gamma, L) at each ambient point x."""
+    rep = check_identity(ambient, F, lambda x: closed(F(x)), points,
+                         tol_g, tol_l, relative, name)
+    for key, suffix in (("gamma", ".gamma"), ("drift", ".L")):
+        d = rep.details[key]
+        _check(checks, name + suffix, d["residual"], d["tol"], rep.n_samples)
 
 
 def _reversibility_check(checks, check_id, model, grad_log, points):

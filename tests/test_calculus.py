@@ -2,12 +2,18 @@ import numpy as np
 import pytest
 
 from matrix_dirichlet.calculus import (
-    DiffusionModel, check_boundary_affine_numeric,
+    _H2, DiffusionModel, _directional_second, check_boundary_affine_numeric,
     check_identity, jacobian, pushforward_gamma, pushforward_generator,
     reversibility_residual)
 from matrix_dirichlet.errors import RankDeficientFit
+from matrix_dirichlet.polar import (
+    complex_bm_ambient, polar_projection, sample_polar_frame)
+from matrix_dirichlet.realify import CplxLayout
 from matrix_dirichlet.simplex import (
-    ScalarModelParams, sample_dirichlet, scalar_model)
+    ScalarModelParams, sample_dirichlet, sample_sphere, scalar_model,
+    sphere_ambient)
+from matrix_dirichlet.wishart import (
+    sample_smz_frame, smz_projection, wishart_ambient, wishart_layout)
 
 
 def ou_model():
@@ -41,9 +47,10 @@ def test_pushforward_gamma_sum():
 def test_pushforward_generator_ou_square():
     # L(x^2) = 2 - 2x^2 for the 1-D Ornstein-Uhlenbeck generator
     F = lambda x: x ** 2
-    out = pushforward_generator(ou_model(), F, np.array([1.0]))
+    G, out = pushforward_generator(ou_model(), F, np.array([1.0]))
+    np.testing.assert_allclose(G, [[4.0]], rtol=1e-8)
     np.testing.assert_allclose(out, [0.0], atol=1e-8)
-    out = pushforward_generator(ou_model(), F, np.array([0.5]))
+    _, out = pushforward_generator(ou_model(), F, np.array([0.5]))
     np.testing.assert_allclose(out, [1.5], atol=1e-8)
 
 
@@ -51,8 +58,60 @@ def test_pushforward_generator_identity_map():
     amb = DiffusionModel(3, lambda x: np.diag([1.0, 2.0, 3.0]),
                          lambda x: np.array([1.0, -2.0, 0.5]))
     F = lambda x: x.copy()
-    out = pushforward_generator(amb, F, np.zeros(3))
+    G, out = pushforward_generator(amb, F, np.zeros(3))
+    np.testing.assert_allclose(G, np.diag([1.0, 2.0, 3.0]), atol=1e-9)
     np.testing.assert_allclose(out, [1.0, -2.0, 0.5], atol=1e-9)
+
+
+def _two_call_image(ambient, F, x):
+    """(Gamma, L) as two oracle calls computed them: pushforward_gamma,
+    then the generator half with a Jacobian and Gamma(x) of its own."""
+    G = pushforward_gamma(ambient, F, x)
+    x = np.asarray(x, dtype=float)
+    J = jacobian(F, x, domain_test=ambient.domain_test)
+    out = J @ np.asarray(ambient.drift(x))
+    Ga = np.asarray(ambient.gamma(x))
+    w, V = np.linalg.eigh(0.5 * (Ga + Ga.T))
+    cutoff = 1e-13 * max(np.max(np.abs(w)), 1.0)
+    f0 = np.asarray(F(x))
+    step = _H2 * (1.0 + float(np.max(np.abs(x))))
+    for m in range(w.size):
+        if abs(w[m]) <= cutoff:
+            continue
+        d2 = _directional_second(F, x, V[:, m], step, ambient.domain_test, f0)
+        out = out + w[m] * d2
+    return G, out
+
+
+def _sphere_case(rng):
+    model, proj = sphere_ambient((1, 2, 1), np.array(
+        [[0.0, 1.5, 0.7], [1.5, 0.0, 2.0], [0.7, 2.0, 0.0]]))
+    return model, proj, sample_sphere(4, rng)
+
+
+def _wishart_case(rng):
+    d, dims = 2, [3, 4, 3]
+    fam, fr = sample_smz_frame(d, dims, rng)
+    F, _ = smz_projection(d, dims, base_frame=fr)
+    return (wishart_ambient(d, [float(r) for r in dims]), F,
+            wishart_layout(len(dims), d).to_real(fam.W))
+
+
+def _polar_case(rng):
+    d = 3
+    m, fr = sample_polar_frame(d, rng)
+    F, _ = polar_projection(d, base_frame=fr)
+    return (complex_bm_ambient(d), F,
+            CplxLayout(d * d, shape=(d, d)).to_real(m))
+
+
+@pytest.mark.parametrize("case", [_sphere_case, _wishart_case, _polar_case])
+def test_pushforward_pair_bitwise_equal_to_two_calls(case, rng):
+    ambient, F, x = case(rng)
+    G, L = pushforward_generator(ambient, F, x)
+    G_ref, L_ref = _two_call_image(ambient, F, x)
+    assert np.array_equal(G, G_ref)
+    assert np.array_equal(L, L_ref)
 
 
 def test_jacobian_second_order_convergence():
@@ -69,16 +128,14 @@ def test_check_identity_negative_control(rng):
     model = scalar_model(params)
     F = lambda x: x.copy()
 
-    def sampler():
-        return sample_dirichlet(params.a, rng, margin=1e-3)
-
+    points = [sample_dirichlet(params.a, rng, margin=1e-3) for _ in range(5)]
     good = check_identity(model, F,
-                          lambda x: model.gamma(x), lambda x: model.drift(x),
-                          sampler, n_samples=5, name="self")
-    assert good.passed
+                          lambda x: (model.gamma(x), model.drift(x)),
+                          points, name="self")
+    assert good.passed and good.n_samples == 5
     bad = check_identity(model, F,
-                         lambda x: 2.0 * model.gamma(x), None,
-                         sampler, n_samples=5, name="corrupted")
+                         lambda x: (2.0 * model.gamma(x), model.drift(x)),
+                         points, name="corrupted")
     assert not bad.passed
     assert bad.max_abs_residual > 0.01
 
@@ -144,18 +201,60 @@ def test_check_identity_worst_index_follows_failing_half():
     amb = DiffusionModel(2, lambda x: np.diag(1.0 + x ** 2), lambda x: -x)
     F = lambda x: x ** 3
     points = [np.array([0.1 * s + 0.2, 0.5 - 0.05 * s]) for s in range(6)]
-    draws = iter(points)
 
-    def closed_gamma(x):
-        return np.diag(9.0 * x ** 4 * (1.0 + x ** 2))
-
-    def closed_drift(x):
+    def closed(x):
         exact = -3.0 * x ** 3 + 6.0 * x * (1.0 + x ** 2)
-        return exact + (0.5 if np.array_equal(x, points[3]) else 0.0)
+        return (np.diag(9.0 * x ** 4 * (1.0 + x ** 2)),
+                exact + (0.5 if np.array_equal(x, points[3]) else 0.0))
 
-    rep = check_identity(amb, F, closed_gamma, closed_drift,
-                         lambda: next(draws), n_samples=6)
+    rep = check_identity(amb, F, closed, points)
     assert not rep.passed
     assert rep.details["gamma"]["pass"] and not rep.details["drift"]["pass"]
     assert rep.details["drift"]["worst_index"] == 3
     assert rep.worst_index == 3
+    assert rep.tol == 1e-4
+    assert rep.max_abs_residual == rep.details["drift"]["residual"]
+
+
+def test_check_identity_reports_half_furthest_past_its_tolerance():
+    # a Gamma error of 1e-5 is under the drift tolerance but 10x its own:
+    # the report carries the Gamma half and fails
+    amb = DiffusionModel(2, lambda x: np.diag(1.0 + x ** 2), lambda x: -x)
+    F = lambda x: x ** 3
+    points = [np.array([0.3, 0.4]), np.array([0.5, 0.2])]
+
+    def closed(x):
+        return (np.diag(9.0 * x ** 4 * (1.0 + x ** 2)) + 1e-5,
+                -3.0 * x ** 3 + 6.0 * x * (1.0 + x ** 2))
+
+    rep = check_identity(amb, F, closed, points)
+    assert not rep.passed and not rep.details["gamma"]["pass"]
+    assert rep.details["drift"]["pass"]
+    assert rep.tol == 1e-6
+    assert 1e-6 < rep.max_abs_residual < 1e-4
+    assert rep.passed == (rep.max_abs_residual <= rep.tol)
+
+
+def test_check_identity_relative_residuals():
+    # closed forms off by 0.5% of their size: a large absolute residual
+    # that relative residuals |got - want| / (1 + |want|) bring under 1e-2
+    amb = DiffusionModel(1, lambda x: np.array([[1.0 + x[0] ** 2]]),
+                         lambda x: -x)
+    F = lambda x: 10.0 * x ** 3
+    points = [np.array([s]) for s in (0.5, 2.0, 3.0, 1.0)]
+
+    def closed(x):
+        gamma = (30.0 * x ** 2) ** 2 * (1.0 + x ** 2)
+        drift = -30.0 * x ** 3 + 60.0 * x * (1.0 + x ** 2)
+        return 1.005 * np.diag(gamma), 1.005 * drift
+
+    absolute = check_identity(amb, F, closed, points, tol_g=1e-2, tol_l=1e-2)
+    relative = check_identity(amb, F, closed, points, tol_g=1e-2, tol_l=1e-2,
+                              relative=True)
+    assert not absolute.passed and absolute.max_abs_residual > 1.0
+    assert relative.passed
+    assert 1e-3 < relative.max_abs_residual < 5e-3
+    # the largest image entries, at x = 3, are worst in both halves
+    assert relative.worst_index == absolute.worst_index == 2
+    for d in relative.details.values():
+        assert d["worst_index"] == 2

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from matrix_dirichlet.calculus import pushforward_gamma, pushforward_generator
+from matrix_dirichlet.calculus import pushforward_generator
 from matrix_dirichlet.errors import SingularError, SpectralGapError
 from matrix_dirichlet.linalg import _fix_phases, haar_unitary
 from matrix_dirichlet.matrix_simplex import (
@@ -86,8 +86,7 @@ def test_diagonal_point_internals(rng):
         lay = CplxLayout(d * d, shape=(d, d))
         ambient = complex_bm_ambient(d)
         x = lay.to_real(np.diag(xs).astype(complex))
-        G = pushforward_gamma(ambient, F, x)
-        L = pushforward_generator(ambient, F, x)
+        G, L = pushforward_generator(ambient, F, x)
         base = diagonal_point_forms(xs)
         dd = d * d
         for pair, key in ((("U", "V"), "gamma_UV"),
@@ -157,8 +156,7 @@ def test_scalar_projection(rng):
         return scalar_projection_v(frame)
 
     x = lay.to_real(m)
-    G = pushforward_gamma(ambient, F, x)
-    L = pushforward_generator(ambient, F, x)
+    G, L = pushforward_generator(ambient, F, x)
     np.testing.assert_allclose(G, gamma_simplex(params, v), atol=1e-6)
     np.testing.assert_allclose(L, drift_simplex(params, v), atol=1e-4)
 
@@ -181,8 +179,7 @@ def test_w_column_projectors(rng):
         return hlay.to_real(Y_blocks(frame))
 
     x = lay.to_real(m)
-    G = pushforward_gamma(ambient, F, x)
-    L = pushforward_generator(ambient, F, x)
+    G, L = pushforward_generator(ambient, F, x)
     point = MatrixSimplexPoint(Y_blocks(fr), check=False)
     expect_G = hlay.gamma_to_real(gamma_model1_entries(params, point))
     expect_L = hlay.drift_to_real(drift_model1_entries(params, point))

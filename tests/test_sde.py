@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,9 +10,9 @@ from matrix_dirichlet.calculus import (
     DiffusionModel, reversibility_residual)
 from matrix_dirichlet.errors import NotPsdError, StepRejectedError
 from matrix_dirichlet.sde import (
-    SimConfig, diffusion_factor, em_step, jacobi_grad_log, jacobi_model,
-    laguerre_grad_log, laguerre_model, ou_grad_log, ou_model, simulate,
-    write_path_csv)
+    _CSV_BLOCK, SimConfig, _write_rows, diffusion_factor, em_step,
+    jacobi_grad_log, jacobi_model, laguerre_grad_log, laguerre_model,
+    ou_grad_log, ou_model, simulate, write_path_csv)
 from matrix_dirichlet.simplex import ScalarModelParams, scalar_model
 
 from test_simplex import (
@@ -191,6 +194,17 @@ def test_scalar_dirichlet_path(tmp_path):
     assert lines[0].startswith("# config:")
     assert lines[3] == "x1,x2"
     assert len(lines) == 4 + s.count
+
+
+def test_write_rows_bytes_equal_csv_writer():
+    rows = np.random.Generator(np.random.Philox(3)).standard_normal(
+        (_CSV_BLOCK + 5, 8))
+    rows[0, :4] = [0.0, -0.0, 1e-300, 1.2e14]
+    rows[-1, -3:] = [np.inf, -np.inf, np.nan]
+    fast, ref = io.StringIO(), io.StringIO()
+    _write_rows(fast, rows)
+    csv.writer(ref).writerows([["%.12g" % v for v in row] for row in rows])
+    assert fast.getvalue() == ref.getvalue()
 
 
 def test_seed_reproducibility():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from matrix_dirichlet.calculus import (
-    pushforward_gamma, pushforward_generator, reversibility_residual)
+    pushforward_generator, reversibility_residual)
 from matrix_dirichlet.errors import DomainError, OffSphereError
 from matrix_dirichlet.simplex import (
     ScalarModelParams, dirichlet_grad_log, dirichlet_log_density,
@@ -93,9 +93,8 @@ def test_sphere_ambient_identity(rng):
     for _ in range(10):
         y = sample_sphere(4, rng)
         x = proj(y)
-        Gp = pushforward_gamma(model, proj, y)
+        Gp, Lp = pushforward_generator(model, proj, y)
         np.testing.assert_allclose(Gp, gamma_simplex(params, x), atol=1e-6)
-        Lp = pushforward_generator(model, proj, y)
         np.testing.assert_allclose(Lp, drift_simplex(params, x), atol=1e-4)
 
 
@@ -107,10 +106,9 @@ def test_sphere_ambient_weighted(rng):
     for _ in range(10):
         y = sample_sphere(4, rng)
         x = proj(y)
-        np.testing.assert_allclose(pushforward_gamma(model, proj, y),
-                                   gamma_simplex(params, x), atol=1e-6)
-        np.testing.assert_allclose(pushforward_generator(model, proj, y),
-                                   drift_simplex(params, x), atol=1e-4)
+        G, L = pushforward_generator(model, proj, y)
+        np.testing.assert_allclose(G, gamma_simplex(params, x), atol=1e-6)
+        np.testing.assert_allclose(L, drift_simplex(params, x), atol=1e-4)
 
 
 def test_sphere_closure(rng):
@@ -126,11 +124,10 @@ def test_sphere_closure(rng):
     R[2:, 2:] = [[np.cos(th2), -np.sin(th2)], [np.sin(th2), np.cos(th2)]]
     y2 = R @ y1
     np.testing.assert_allclose(proj(y1), proj(y2), atol=1e-12)
-    np.testing.assert_allclose(pushforward_gamma(model, proj, y1),
-                               pushforward_gamma(model, proj, y2), atol=1e-6)
-    np.testing.assert_allclose(pushforward_generator(model, proj, y1),
-                               pushforward_generator(model, proj, y2),
-                               atol=1e-4)
+    G1, L1 = pushforward_generator(model, proj, y1)
+    G2, L2 = pushforward_generator(model, proj, y2)
+    np.testing.assert_allclose(G1, G2, atol=1e-6)
+    np.testing.assert_allclose(L1, L2, atol=1e-4)
 
 
 def test_off_sphere_error():
@@ -149,12 +146,11 @@ def test_laguerre_ambient_identities(rng):
         z = y[:2] / S
         out = proj(y)
         np.testing.assert_allclose(out, np.concatenate([[S], z]))
-        G = pushforward_gamma(model, proj, y)
+        G, L = pushforward_generator(model, proj, y)
         assert abs(G[0, 0] - S) < 1e-6 * (1 + S)
         np.testing.assert_allclose(G[0, 1:], 0.0, atol=1e-6)
         expect = (np.diag(z) - np.outer(z, z)) / S
         np.testing.assert_allclose(G[1:, 1:], expect, atol=1e-6)
-        L = pushforward_generator(model, proj, y)
         assert abs(L[0] - (abar - S)) < 1e-4 * (1 + S)
         np.testing.assert_allclose(L[1:], (a[:2] - abar * z) / S, atol=1e-4)
 
@@ -163,9 +159,8 @@ def test_laguerre_symmetric_point():
     a = np.array([1.0, 1.0])
     model, proj = laguerre_ambient(a)
     y = np.array([1.0, 1.0])
-    G = pushforward_gamma(model, proj, y)
+    G, L = pushforward_generator(model, proj, y)
     assert abs(G[0, 1]) < 1e-8
-    L = pushforward_generator(model, proj, y)
     assert abs(L[1]) < 1e-6
 
 
@@ -179,12 +174,11 @@ def test_ou_warped_ambient(rng):
         y = rng.standard_normal(N)
         out = proj(y)
         S, z = out[0], out[1:]
-        G = pushforward_gamma(model, proj, y)
+        G, L = pushforward_generator(model, proj, y)
         assert abs(G[0, 0] - 4 * S) < 1e-5 * (1 + S)
         np.testing.assert_allclose(G[0, 1:], 0.0, atol=1e-6)
         np.testing.assert_allclose(G[1:, 1:],
                                    gamma_simplex(params, z) / S, atol=1e-6)
-        L = pushforward_generator(model, proj, y)
         assert abs(L[0] - (2 * N - 2 * S)) < 1e-3
         np.testing.assert_allclose(L[1:], drift_simplex(params, z) / S,
                                    atol=1e-4)
@@ -197,7 +191,7 @@ def test_ou_warped_radius_drift():
     model, _ = ou_warped_ambient(sizes, A)
     radius = lambda y: np.array([np.linalg.norm(y)])
     y = np.array([1.0, 0.0, 0.0])
-    L = pushforward_generator(model, radius, y)
+    _, L = pushforward_generator(model, radius, y)
     np.testing.assert_allclose(L, [1.0], atol=1e-4)
 
 

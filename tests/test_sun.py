@@ -131,14 +131,13 @@ def test_verify_casimir_image_negative_control(rng):
     bad.a = bad.a + 1.0
     layout = sun_layout(N)
 
-    def sampler():
-        return layout.to_real(haar_unitary(N, rng, special=True))
+    def closed(x):
+        point = extract_Z(layout.from_real(x), part)
+        return gamma_model1(params, point), drift_model1(bad, point)
 
-    rep = check_identity(
-        ambient, F,
-        lambda x: gamma_model1(params, extract_Z(layout.from_real(x), part)),
-        lambda x: drift_model1(bad, extract_Z(layout.from_real(x), part)),
-        sampler, n_samples=3, name="corrupted")
+    points = [layout.to_real(haar_unitary(N, rng, special=True))
+              for _ in range(3)]
+    rep = check_identity(ambient, F, closed, points, name="corrupted")
     assert not rep.passed
 
 
@@ -201,14 +200,13 @@ def test_lpq_weighted_model_pushforward(rng):
     params = image_params(part, A)
     layout = sun_layout(N)
 
-    def sampler():
-        return layout.to_real(haar_unitary(N, rng, special=True))
+    def closed(x):
+        point = extract_Z(layout.from_real(x), part)
+        return gamma_model1(params, point), drift_model1(params, point)
 
-    rep = check_identity(
-        ambient, F,
-        lambda x: gamma_model1(params, extract_Z(layout.from_real(x), part)),
-        lambda x: drift_model1(params, extract_Z(layout.from_real(x), part)),
-        sampler, n_samples=5, name="lpq-image")
+    points = [layout.to_real(haar_unitary(N, rng, special=True))
+              for _ in range(5)]
+    rep = check_identity(ambient, F, closed, points, name="lpq-image")
     assert rep.passed, repr(rep)
 
 

@@ -99,6 +99,19 @@ def test_check_on_no_sample_fails():
     assert not checks[0]["pass"]
 
 
+def test_casimir_image_judges_gamma_by_its_own_tolerance(monkeypatch):
+    # a closed Gamma off by 1e-5: 10x TOL_GAMMA, yet under TOL_DRIFT
+    from matrix_dirichlet import sun
+    exact = sun.gamma_model1
+    monkeypatch.setattr(sun, "gamma_model1",
+                        lambda params, point: exact(params, point) + 1e-5)
+    checks = {c["id"]: c for c in run_suite("sun", seed=0)["checks"]}
+    n3 = checks["sun.casimir_image.N3"]
+    assert 1e-6 < n3["max_abs_residual"] < 1e-4
+    assert n3["tol"] == 1e-6
+    assert not n3["pass"]
+
+
 def test_scalar_wishart_pairs_match_sampler_loop():
     M = 50
     rngs = [np.random.Generator(np.random.Philox(4)) for _ in range(2)]
