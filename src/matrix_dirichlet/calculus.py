@@ -149,6 +149,7 @@ def check_identity(ambient, F, closed, points, tol_g=1e-6, tol_l=1e-4,
     Residuals are |oracle - closed|, divided by 1 + |closed| when relative.
     Each half is judged against its own tolerance; the report carries the
     residual, tolerance and worst point of the half furthest past its own.
+    A NaN residual is worse than any number, so it fails.
     """
     details = {key: {"residual": 0.0, "tol": tol, "worst_index": None}
                for key, tol in (("gamma", tol_g), ("drift", tol_l))}
@@ -161,11 +162,15 @@ def check_identity(ambient, F, closed, points, tol_g=1e-6, tol_l=1e-4,
             if relative:
                 diff = diff / (1.0 + np.abs(want))
             r = float(np.max(diff))
-            if r > d["residual"]:
+            # a NaN replaces any number, and no number replaces it
+            if r > d["residual"] or (np.isnan(r)
+                                     and not np.isnan(d["residual"])):
                 d.update(residual=r, worst_index=s)
     for d in details.values():
         d["pass"] = d["residual"] <= d["tol"]
-    top = max(details.values(), key=lambda d: d["residual"] / d["tol"])
+    # np.argmax, unlike max, picks a NaN ratio
+    top = list(details.values())[int(np.argmax(
+        [d["residual"] / d["tol"] for d in details.values()]))]
     return VerificationReport(name, len(points), top["residual"], top["tol"],
                               worst_index=top["worst_index"], details=details)
 

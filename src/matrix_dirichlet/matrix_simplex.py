@@ -16,6 +16,20 @@ implemented over the realified entry coordinates:
   pairs) and exponents a.
 
 Both admit the matrix Dirichlet measure with parameter a as reversible law.
+
+The public closed forms (gamma_model1, drift_model1, gamma_model2,
+drift_model2 and their _entries tables) are what the calculus oracle
+checks.  Gamma is quadratic and the drift affine in the real coordinates
+x, so the models that `model1` and `model2` hand to the integrator
+evaluate the coefficient form
+
+    Gamma(x) = C0 + C1 x + C2 (x (x) x),    b(x) = b0 + B1 x,
+
+stored sparse.  Each model build takes it from the closed forms' own
+kernels by exact differences at the stencil 0, +-e_i, e_i + e_j, which
+the kernels evaluate in batches of stacked points: 1 + 2 dim +
+dim (dim - 1) / 2 evaluations, about 1 ms at state dimension 4 and
+30 ms (model I) or 80 ms (model II) at 27.
 """
 
 import functools
@@ -231,12 +245,20 @@ def _model1_weights(params, d):
 
 def _gamma_model1_table(K, blocks):
     """sum_s K_pqs (Z^(s)_il Z^(p)_kj + Z^(p)_il Z^(s)_kj) over all n+1
-    stacked blocks, indexed [p, i, j, q, k, l] and flattened."""
-    n, d = K.shape[0], blocks.shape[1]
-    Z = blocks[:n]
-    T = np.einsum("pqs,sil,pkj->pijqkl", K, blocks, Z)
-    T += np.einsum("pqs,pil,skj->pijqkl", K, Z, blocks)
-    return T.reshape(n * d * d, n * d * d)
+    blocks, (..., n+1, d, d), indexed [..., p, i, j, q, k, l] and
+    flattened to (..., n d^2, n d^2)."""
+    n, d = K.shape[0], blocks.shape[-1]
+    Z = blocks[..., :n, :, :]
+    T = np.einsum("pqs,...sil,...pkj->...pijqkl", K, blocks, Z)
+    T += np.einsum("pqs,...pil,...skj->...pijqkl", K, Z, blocks)
+    return T.reshape(blocks.shape[:-3] + (n * d * d, n * d * d))
+
+
+def _drift_model1_table(w, blocks):
+    """sum_s w_ps Z^(s) over all n+1 blocks, (..., n+1, d, d), flattened
+    to (..., n d^2)."""
+    drift = np.einsum("ps,...sij->...pij", w, blocks)
+    return drift.reshape(blocks.shape[:-3] + (-1,))
 
 
 def gamma_model1_entries(params, point):
@@ -252,7 +274,7 @@ def gamma_model1(params, point):
 
 def drift_model1_entries(params, point):
     _, w = _model1_weights(params, point.d)
-    return np.einsum("ps,sij->pij", w, point.all_blocks()).reshape(-1)
+    return _drift_model1_table(w, point.all_blocks())
 
 
 def drift_model1(params, point):
@@ -260,22 +282,30 @@ def drift_model1(params, point):
     return layout.drift_to_real(drift_model1_entries(params, point))
 
 
-def model1(params, d):
-    n = params.n
-    layout = simplex_layout(n, d)
+def _model1_tables(params, d):
+    """gamma_model1_entries and drift_model1_entries by their own kernels,
+    as functions of stacked free blocks (S, n, d, d) with the parameter
+    tables built once: row s has the bits of the public form at Z[s]."""
     K, w = _model1_weights(params, d)
 
-    def gamma(x):
-        blocks = real_to_point(x, n, d).all_blocks()
-        return layout.gamma_to_real(_gamma_model1_table(K, blocks))
+    def blocks(Z):  # all n+1 blocks of each point, as all_blocks
+        return np.concatenate(
+            [Z, _identity(d) - Z.sum(axis=1, keepdims=True)], axis=1)
 
-    def drift(x):
-        blocks = real_to_point(x, n, d).all_blocks()
-        return layout.drift_to_real(
-            np.einsum("ps,sij->pij", w, blocks).reshape(-1))
+    def gamma(Z):
+        # points on the fastest axis of memory: einsum then runs its inner
+        # loops over them, about twice as fast, and its three-operand sums
+        # still add term by term in s order, so the bits stay
+        return _gamma_model1_table(K, np.asfortranarray(blocks(Z)))
 
-    return DiffusionModel(layout.real_dim, gamma, drift,
-                          domain_test=lambda x: in_matrix_simplex(x, n, d))
+    return gamma, lambda Z: _drift_model1_table(w, blocks(Z))
+
+
+def model1(params, d):
+    """Model I over the real coordinates of n = params.n blocks of size d,
+    integrated through its quadratic coefficient form."""
+    return _coefficient_model(simplex_layout(params.n, d),
+                              *_model1_tables(params, d))
 
 
 def ellipticity_model1(params, d, sampler, n_samples=20):
@@ -347,21 +377,27 @@ def gamma_model2_entries(params, point):
     B terms are the commutator [Z^(q), W_pij^T]_kl with
     W_pij[x, y] = sum_a B_iaxy Z^(p)_aj - Z^(p)_ia B_ajxy.
     """
-    n, d = point.n, point.d
-    A = params.A
-    B = params.B
-    Z = point.Z
-    P = Z[:, None] @ Z[None]
-    P.reshape(n * n, d, d)[::n + 1] -= Z
-    X = np.einsum("kj,pqil->pijqkl", A, P)
-    W = np.einsum("iaxy,paj->pijxy", B, Z)
-    W -= (Z @ B.reshape(d, d ** 3)).reshape(n, d, d, d, d)
-    Wt = W.swapaxes(3, 4)[:, :, :, None]
-    T = Z @ Wt
-    T -= Wt @ Z
+    return _gamma_model2_table(params.A, params.B, point.Z)
+
+
+def _gamma_model2_table(A, B, Z):
+    """gamma_model2_entries at the free blocks Z, (..., n, d, d), as an
+    (..., n d^2, n d^2) table."""
+    n, d = Z.shape[-3], Z.shape[-1]
+    lead = Z.shape[:-3]
+    P = Z[..., :, None, :, :] @ Z[..., None, :, :, :]
+    P.reshape(lead + (n * n, d, d))[..., ::n + 1, :, :] -= Z
+    X = np.einsum("kj,...pqil->...pijqkl", A, P)
+    W = np.einsum("iaxy,...paj->...pijxy", B, Z)
+    W -= (Z @ B.reshape(d, d ** 3)).reshape(lead + (n, d, d, d, d))
+    Wt = W.swapaxes(-2, -1)[..., None, :, :]
+    Zq = Z[..., None, None, None, :, :, :]
+    T = Zq @ Wt
+    T -= Wt @ Zq
     T -= X
-    T -= X.transpose(3, 4, 5, 0, 1, 2)
-    return T.reshape(n * d * d, n * d * d)
+    k = len(lead)
+    T -= X.transpose(tuple(range(k)) + (k + 3, k + 4, k + 5, k, k + 1, k + 2))
+    return T.reshape(lead + (n * d * d, n * d * d))
 
 
 def gamma_model2(params, point):
@@ -380,15 +416,16 @@ def _model2_drift_terms(params, n):
 
 
 def _drift_model2_table(params, base, coeff, Z):
+    """The model II drift at the free blocks Z, (..., n, d, d), flattened
+    to (..., n d^2)."""
     A, B = params.A, params.B
-    out = base.copy()
-    out -= coeff * (A @ Z + Z @ A)
-    out -= 2.0 * np.trace(Z, axis1=1, axis2=2)[:, None, None] * A
-    out += np.einsum("iajb,pab->pij", B, Z)
-    out += np.einsum("bjai,pab->pij", B, Z)
-    out -= np.einsum("iaba,pbj->pij", B, Z)
-    out -= np.einsum("bjba,pia->pij", B, Z)
-    return out.reshape(-1)
+    out = base - coeff * (A @ Z + Z @ A)
+    out -= 2.0 * np.trace(Z, axis1=-2, axis2=-1)[..., None, None] * A
+    out += np.einsum("iajb,...pab->...pij", B, Z)
+    out += np.einsum("bjai,...pab->...pij", B, Z)
+    out -= np.einsum("iaba,...pbj->...pij", B, Z)
+    out -= np.einsum("bjba,...pia->...pij", B, Z)
+    return out.reshape(Z.shape[:-3] + (-1,))
 
 
 def drift_model2_entries(params, point):
@@ -401,20 +438,165 @@ def drift_model2(params, point):
     return layout.drift_to_real(drift_model2_entries(params, point))
 
 
-def model2(params, n):
-    d = params.d
-    layout = simplex_layout(n, d)
+def _model2_tables(params, n):
+    """gamma_model2_entries and drift_model2_entries by their own kernels,
+    as functions of stacked free blocks (S, n, d, d) with the drift's
+    parameter terms built once: row s has the bits of the public form at
+    Z[s]."""
     base, coeff = _model2_drift_terms(params, n)
+    return (lambda Z: _gamma_model2_table(params.A, params.B, Z),
+            lambda Z: _drift_model2_table(params, base, coeff, Z))
+
+
+def model2(params, n):
+    """Model II over the real coordinates of n blocks of size params.d,
+    integrated through its quadratic coefficient form."""
+    return _coefficient_model(simplex_layout(n, params.d),
+                              *_model2_tables(params, n))
+
+
+# -- quadratic coefficient form -----------------------------------------------
+
+def _closed_form_model(params, n, d):
+    """Model I or II evaluating its closed forms at each call, with the
+    bits of gamma_model1, drift_model1 (or gamma_model2, drift_model2) and
+    the parameter tables built once; the coefficient form that model1 and
+    model2 integrate is taken from the same kernels."""
+    gamma_table, drift_table = (
+        _model1_tables(params, d) if isinstance(params, Model1Params)
+        else _model2_tables(params, n))
+    layout = simplex_layout(n, d)
 
     def gamma(x):
-        return gamma_model2(params, real_to_point(x, n, d))
+        return layout.gamma_to_real(gamma_table(layout.from_real(x)[None])[0])
 
     def drift(x):
-        Z = real_to_point(x, n, d).Z
-        return layout.drift_to_real(
-            _drift_model2_table(params, base, coeff, Z))
+        return layout.drift_to_real(drift_table(layout.from_real(x)[None])[0])
 
     return DiffusionModel(layout.real_dim, gamma, drift,
+                          domain_test=lambda x: in_matrix_simplex(x, n, d))
+
+
+_STENCIL_BATCH = 16  # stencil points per batched closed-form evaluation
+
+
+def _stencil_coefficients(layout, gamma_table, drift_table):
+    """Sparse coefficients of Gamma(x) = C0 + C1 x + C2 (x (x) x) and
+    b(x) = b0 + B1 x, taken from the entry tables gamma_table(Z) and
+    drift_table(Z) of stacked free blocks Z at the stencil 0, +-e_i,
+    e_i + e_j, evaluated _STENCIL_BATCH points at a time.
+
+    Monomial p (dim + 1) + q is the product of entries p <= q of (1, x):
+    0 is the constant, i + 1 is x_i and (i + 1) (dim + 2) is x_i^2.
+    Returns (slot, monomial, coefficient) arrays for the upper triangle of
+    Gamma, slots in np.triu_indices(dim) order, and the same for b, whose
+    monomial i + 1 indexes (1, x) itself.  For a quadratic Gamma and an
+    affine b the differences are exact up to roundoff.  They are taken
+    in entry space, batch by batch, and only their non-zero entries are
+    converted to real coordinates; only non-zero coefficients are kept.
+    Each batch covers its own monomials, so no table over all of them is
+    built.
+    """
+    dim = layout.real_dim
+    m = dim + 1
+    n_upper = dim * m // 2
+    eye = np.eye(dim)
+    # Gamma(x_a, x_b) = Re sum_ef D_ae T_ef D_bf.  Column e of D holds at
+    # most two real coordinates (a zero weight pads it to two).
+    D = layout.D
+    coord = np.argsort(D == 0, axis=0, kind="stable")[:2].T
+    weight = D[coord, np.arange(D.shape[1])[:, None]]
+    parts = []
+
+    def keep(T, monomial):
+        # the real upper-triangle coefficients of the entry tables T, one
+        # table per monomial, from their non-zero entries
+        k, e, f = np.nonzero(T)
+        a = coord[e][:, :, None]
+        b = coord[f][:, None, :]
+        value = (weight[e][:, :, None] * T[k, e, f][:, None, None]
+                 * weight[f][:, None, :]).real
+        upper = a <= b
+        # position of (a, b), a <= b, in np.triu_indices(dim)
+        slot = a * dim - a * (a - 1) // 2 + b - a
+        coef = np.bincount((k[:, None, None] * n_upper + slot)[upper],
+                           value[upper], len(T) * n_upper)
+        row, slot = np.divmod(np.flatnonzero(coef), n_upper)
+        parts.append((slot, monomial[row], coef[row * n_upper + slot]))
+
+    def blocks(X):  # the free blocks of each row of X
+        return np.array([layout.from_real(x) for x in X])
+
+    # 0 and +-e_i: the constant, linear and square terms
+    T0 = gamma_table(blocks(np.zeros((1, dim))))
+    keep(T0, np.zeros(1, dtype=np.intp))
+    unit = np.empty((dim,) + T0.shape[1:], dtype=complex)  # T(e_i) - T(0)
+    for start in range(0, dim, _STENCIL_BATCH):
+        i = np.arange(start, min(start + _STENCIL_BATCH, dim))
+        T = gamma_table(blocks(np.concatenate([eye[i], -eye[i]])))
+        Tp, Tm = T[:i.size], T[i.size:]
+        keep(0.5 * (Tp - Tm), i + 1)
+        keep(0.5 * (Tp + Tm) - T0, (i + 1) * (m + 1))
+        unit[i] = Tp - T0
+    # e_i + e_j: the cross terms
+    pi, pj = np.triu_indices(dim, 1)
+    for start in range(0, pi.size, _STENCIL_BATCH):
+        batch = slice(start, start + _STENCIL_BATCH)
+        p, q = pi[batch], pj[batch]
+        T = gamma_table(blocks(eye[p] + eye[q]))
+        T -= T0
+        T -= unit[p]
+        T -= unit[q]
+        keep(T, (p + 1) * m + q + 1)
+    g_slot, g_mono, g_coef = (np.concatenate(col) for col in zip(*parts))
+    l = drift_table(blocks(np.concatenate([np.zeros((1, dim)), eye, -eye])))
+    b = np.array([layout.drift_to_real(row) for row in l])
+    b = np.concatenate([b[:1], 0.5 * (b[1:m] - b[m:])])
+    b_row, b_slot = np.nonzero(b)
+    tables = (g_slot, g_mono, g_coef, b_slot, b_row, b[b_row, b_slot])
+    for arr in tables:
+        arr.flags.writeable = False
+    return tables
+
+
+def _coefficient_model(layout, gamma_table, drift_table):
+    """DiffusionModel of the closed forms with entry tables gamma_table and
+    drift_table (see _stencil_coefficients) over the real coordinates of
+    layout, evaluated through their quadratic coefficient form.
+
+    The coefficients are taken once, when the model is built (see
+    _stencil_coefficients).  Gamma and b then cost one gather of
+    monomials and one np.bincount each, which sums in a fixed order, so
+    the bits do not depend on the BLAS thread count.  Gamma's upper
+    triangle fills both halves through one more gather, so it is exactly
+    symmetric.
+    """
+    n, d, dim = layout.n, layout.d, layout.real_dim
+    g_slot, g_mono, g_coef, b_slot, b_mono, b_coef = _stencil_coefficients(
+        layout, gamma_table, drift_table)
+    # slots[i, j]: position of (min(i, j), max(i, j)) in np.triu_indices
+    iu = np.triu_indices(dim)
+    n_upper = iu[0].size
+    slots = np.empty((dim, dim), dtype=np.intp)
+    slots[iu] = slots.T[iu] = np.arange(n_upper)
+
+    def gamma(x):
+        x1 = np.empty(dim + 1)
+        x1[0] = 1.0
+        x1[1:] = x
+        terms = np.multiply.outer(x1, x1).ravel()[g_mono]
+        terms *= g_coef
+        return np.bincount(g_slot, terms, n_upper)[slots]
+
+    def drift(x):
+        x1 = np.empty(dim + 1)
+        x1[0] = 1.0
+        x1[1:] = x
+        terms = x1[b_mono]
+        terms *= b_coef
+        return np.bincount(b_slot, terms, dim)
+
+    return DiffusionModel(dim, gamma, drift,
                           domain_test=lambda x: in_matrix_simplex(x, n, d))
 
 

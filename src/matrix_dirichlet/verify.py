@@ -20,11 +20,11 @@ from .calculus import (
     check_identity, pushforward_generator, reversibility_residual)
 from .linalg import haar_unitary
 from .matrix_simplex import (
-    MatrixSimplexPoint, Model1Params, Model2Params, _ginibre_squares,
-    drift_model1_entries, drift_model2_entries, ellipticity_model1,
-    gamma_model1, gamma_model1_entries, gamma_model2, gamma_model2_entries,
-    matrix_dirichlet_grad_log, model1, model2, point_to_real, real_to_point,
-    sample_interior, simplex_layout)
+    MatrixSimplexPoint, Model1Params, Model2Params, _closed_form_model,
+    _ginibre_squares, drift_model1_entries, drift_model2_entries,
+    ellipticity_model1, gamma_model1, gamma_model1_entries, gamma_model2,
+    gamma_model2_entries, matrix_dirichlet_grad_log, point_to_real,
+    real_to_point, sample_interior, simplex_layout)
 from .polar import (
     PolarFrame, closed_form_polar_system, complex_bm_ambient,
     degenerate_dirichlet_params, diagonal_point_forms, invariance_transport,
@@ -185,9 +185,11 @@ def _check_table(frames, table):
             if half:
                 m = stack.layouts[b].m
                 got = got[:, :m] if half == ":dd" else got[:, m:]
-            worst[key] = max(worst.get(key, 0.0),
-                             float(np.max(np.abs(got - forms[key]))))
-    failures = {key: val for key, val in worst.items() if val > _tol(key)}
+            # np.maximum, unlike max, keeps a NaN residual
+            worst[key] = float(np.maximum(worst.get(key, 0.0),
+                                          np.max(np.abs(got - forms[key]))))
+    failures = {key: val for key, val in worst.items()
+                if not val <= _tol(key)}
     return worst, failures
 
 
@@ -241,7 +243,7 @@ def _boundary_residual(G, point, expect):
         # gradient of log det Z^(q): the log density with a = 1 + e_q
         face = matrix_dirichlet_grad_log(1.0 + np.eye(n + 1)[q], point)
         got = layout.drift_to_entries(G @ face).reshape(n, d, d)
-        worst = max(worst, float(np.max(np.abs(got - expect(q)))))
+        worst = float(np.maximum(worst, np.max(np.abs(got - expect(q)))))
     return worst
 
 
@@ -293,7 +295,8 @@ def _check(checks, check_id, residual, tol, n_samples):
 def _record_worst(checks, prefix, worsts, n_samples):
     """One check per key: its worst residual over the dicts in worsts."""
     for key in sorted(set().union(*worsts)):
-        _check(checks, prefix + key, max(w.get(key, 0.0) for w in worsts),
+        _check(checks, prefix + key,
+               float(np.max([w.get(key, 0.0) for w in worsts])),
                _tol(key), n_samples)
 
 
@@ -311,10 +314,8 @@ def _image_check(checks, name, ambient, F, points, closed, relative=False,
 def _reversibility_check(checks, check_id, model, grad_log, points):
     """Check check_id: the worst reversibility residual of model against
     the log-density gradient grad_log over points."""
-    res = 0.0
-    for x in points:
-        res = max(res, float(np.max(np.abs(
-            reversibility_residual(model, grad_log, x)))))
+    res = float(np.max([np.max(np.abs(reversibility_residual(
+        model, grad_log, x))) for x in points], initial=0.0))
     _check(checks, check_id, res, TOL_REVERSIBLE, len(points))
 
 
@@ -426,12 +427,12 @@ def _suite_model1(rng, samples):
     a = np.array([1.6, 2.1, 1.3])
     mp = Model1Params(_random_A(rng, n + 1), a)
     _reversibility_check(
-        checks, "model1.reversibility", model1(mp, d),
+        checks, "model1.reversibility", _closed_form_model(mp, n, d),
         lambda x: matrix_dirichlet_grad_log(a, real_to_point(x, n, d)),
         [point_to_real(sample_interior(n, d, rng, margin=1e-2))
          for _ in range(20)])
-    res = max(boundary_residual_model1(
-        mp, sample_interior(n, d, rng, margin=1e-3)) for _ in range(ns))
+    res = float(np.max([boundary_residual_model1(
+        mp, sample_interior(n, d, rng, margin=1e-3)) for _ in range(ns)]))
     _check(checks, "model1.boundary", res, TOL_REVERSIBLE, ns)
 
     # ellipticity: irreducible weights give a strictly positive co-metric
@@ -453,8 +454,8 @@ def _suite_model1(rng, samples):
     if ok or witness is None:
         _check(checks, "model1.ellipticity_reducible_null", 1.0, 1e-12, 5)
     else:
-        val = max(abs(float(witness @ gamma_model1(mpr, sampler()) @ witness))
-                  for _ in range(ns))
+        val = float(np.max([abs(witness @ gamma_model1(mpr, sampler())
+                                @ witness) for _ in range(ns)]))
         _check(checks, "model1.ellipticity_reducible_null", val, 1e-12, ns)
     return checks
 
@@ -468,12 +469,13 @@ def _suite_model2(rng, samples):
         A, B = _model2_fixture(rng, d, style)
         mp = Model2Params(A, B, a)
         _reversibility_check(
-            checks, "model2.reversibility." + style, model2(mp, n),
+            checks, "model2.reversibility." + style,
+            _closed_form_model(mp, n, d),
             lambda x: matrix_dirichlet_grad_log(a, real_to_point(x, n, d)),
             [point_to_real(sample_interior(n, d, rng, margin=1e-2))
              for _ in range(max(ns, 10))])
-        res = max(boundary_residual_model2(
-            mp, sample_interior(n, d, rng, margin=1e-3)) for _ in range(ns))
+        res = float(np.max([boundary_residual_model2(
+            mp, sample_interior(n, d, rng, margin=1e-3)) for _ in range(ns)]))
         _check(checks, "model2.boundary." + style, res, TOL_REVERSIBLE, ns)
         # symmetry of the entry table
         T = gamma_model2_entries(mp, sample_interior(n, d, rng))
@@ -500,10 +502,9 @@ def _suite_sun(rng, samples):
         u = haar_unitary(part.N, rng, special=True)
         T, L = fields_image_entries(u, part, fields)
         point = extract_Z(u, part)
-        res = max(res, float(np.max(np.abs(
-            T - gamma_model1_entries(params, point)))))
-        res = max(res, float(np.max(np.abs(
-            L - drift_model1_entries(params, point)))))
+        res = float(np.max([
+            res, np.max(np.abs(T - gamma_model1_entries(params, point))),
+            np.max(np.abs(L - drift_model1_entries(params, point)))]))
     _check(checks, "sun.lpq_exact_image", res, 1e-10, max(ns, 5))
     # the exact group step stays on the group
     state = SUNState(np.eye(3, dtype=complex))
@@ -567,11 +568,11 @@ def _suite_wishart(rng, samples):
         params, radial = theorem_params(fr)
         sys = closed_form_smz_system(fr)
         zp = fr.z_point()
-        res = max(res, float(np.max(np.abs(
-            gamma_model2_entries(params, zp) - sys["gamma_ZZ"]))))
-        res = max(res, float(np.max(np.abs(
-            drift_model2_entries(params, zp) - sys["L_Z"]))))
-        res = max(res, float(np.max(np.abs(radial - sys["L_lam"]))))
+        res = float(np.max([
+            res, np.max(np.abs(gamma_model2_entries(params, zp)
+                               - sys["gamma_ZZ"])),
+            np.max(np.abs(drift_model2_entries(params, zp) - sys["L_Z"])),
+            np.max(np.abs(radial - sys["L_lam"]))]))
     _check(checks, "wishart.theorem_params_match", res, 1e-10, 2)
 
     # scalar reduction: total mass independent of the normalized block
@@ -603,8 +604,8 @@ def _suite_polar(rng, samples):
 
     worst, _ = _check_table(diagonal_frames(), _DIAGONAL_TABLE)
     rl = worst.pop("L_V")
-    _check(checks, "polar.diagonal_couplings.gamma", max(worst.values()),
-           TOL_GAMMA, 2)
+    _check(checks, "polar.diagonal_couplings.gamma",
+           float(np.max(list(worst.values()))), TOL_GAMMA, 2)
     _check(checks, "polar.diagonal_couplings.L", rl, TOL_DRIFT, 2)
 
     # rank-one projector system equals the first matrix model template
@@ -614,10 +615,11 @@ def _suite_polar(rng, samples):
         params = degenerate_dirichlet_params(fr)
         point = MatrixSimplexPoint(fr.Z[:d - 1], check=False)
         sys = closed_form_polar_system(fr)
-        res = max(res, float(np.max(np.abs(
-            gamma_model1_entries(params, point) - sys["gamma_ZZ"]))))
-        res = max(res, float(np.max(np.abs(
-            drift_model1_entries(params, point) - sys["L_Z"]))))
+        res = float(np.max([
+            res, np.max(np.abs(gamma_model1_entries(params, point)
+                               - sys["gamma_ZZ"])),
+            np.max(np.abs(drift_model1_entries(params, point)
+                          - sys["L_Z"]))]))
     _check(checks, "polar.degenerate_template", res, 1e-10, 2)
 
     # scalar projection of the projector diagonal is a simplex model

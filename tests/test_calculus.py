@@ -140,6 +140,27 @@ def test_check_identity_negative_control(rng):
     assert bad.max_abs_residual > 0.01
 
 
+@pytest.mark.parametrize("half", ["gamma", "drift"])
+@pytest.mark.parametrize("nan_at", [0, 1])
+def test_check_identity_nan_closed_form_fails(half, nan_at):
+    # a NaN residual, first or after a finite one, must not read as 0
+    model = ou_model()
+    points = [np.array([0.3]), np.array([-0.4])]
+
+    def closed(x):
+        G, L = np.array([[1.0]]), -np.asarray(x)
+        if x[0] == points[nan_at][0]:
+            G, L = (G * np.nan, L) if half == "gamma" else (G, L * np.nan)
+        return G, L
+
+    rep = check_identity(model, lambda x: x.copy(), closed, points)
+    assert not rep.passed
+    assert np.isnan(rep.max_abs_residual)
+    assert np.isnan(rep.details[half]["residual"])
+    assert rep.details[half]["worst_index"] == nan_at
+    assert not rep.details[half]["pass"]
+
+
 def test_reversibility_ou():
     res = reversibility_residual(ou_model(), lambda x: -np.asarray(x),
                                  np.array([0.7]))

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.sparse.csgraph import connected_components
 
-from matrix_dirichlet.calculus import grad_log_numeric, reversibility_residual
+from matrix_dirichlet.calculus import (
+    DiffusionModel, grad_log_numeric, reversibility_residual)
 from matrix_dirichlet.errors import DomainError
 from matrix_dirichlet.matrix_simplex import (
     MatrixSimplexPoint, Model1Params, Model2Params, drift_model1,
@@ -15,6 +16,7 @@ from matrix_dirichlet.matrix_simplex import (
     matrix_dirichlet_grad_log, matrix_dirichlet_log_density, model1, model2,
     params_from_json, params_to_json, point_to_real, real_to_point,
     sample_interior, simplex_layout, sylvester_spectrum)
+from matrix_dirichlet.sde import SimConfig, simulate
 from matrix_dirichlet.simplex import (
     ScalarModelParams, drift_simplex, gamma_simplex)
 
@@ -568,19 +570,35 @@ def test_params_to_json_needs_the_block_size():
 
 @pytest.mark.parametrize("n, d", [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3)])
 def test_model_closures_bitwise_equal_to_public_forms(n, d, rng):
-    # the closures build their parameter tables once; the public forms
-    # build them per call: the same bits either way
+    # the coefficient form is taken from the closed-form entry tables of
+    # stacks of points, with the parameter tables built once; the public
+    # forms build them per call and take one point: the same bits
+    import matrix_dirichlet.matrix_simplex as ms
     params = Model1Params(random_A(rng, n + 1), rng.uniform(0.5, 3.0, n + 1))
-    m1 = model1(params, d)
-    A2, B2 = model2_fixture(rng, d, b_style="diag")
+    A2 = model2_fixture(rng, d)[0]
+    B2 = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal(
+        (d * d, d * d))
+    B2 = (B2 @ B2.conj().T).reshape(d, d, d, d) / d ** 2
     params2 = Model2Params(A2, B2, rng.uniform(0.5, 3.0, n + 1))
-    m2 = model2(params2, n)
-    for _ in range(3):
-        x = point_to_real(sample_interior(n, d, rng))
-        point = real_to_point(x, n, d)
-        assert m1.gamma(x).tobytes() == gamma_model1(params, point).tobytes()
-        assert m1.drift(x).tobytes() == drift_model1(params, point).tobytes()
-        assert m2.drift(x).tobytes() == drift_model2(params2, point).tobytes()
+    points = [sample_interior(n, d, rng) for _ in range(3)]
+    Z = np.array([point.Z for point in points])
+    for (gamma_table, drift_table), gamma, drift, p in (
+            (ms._model1_tables(params, d), gamma_model1_entries,
+             drift_model1_entries, params),
+            (ms._model2_tables(params2, n), gamma_model2_entries,
+             drift_model2_entries, params2)):
+        T, b = gamma_table(Z), drift_table(Z)
+        for s, point in enumerate(points):
+            assert T[s].tobytes() == gamma(p, point).tobytes()
+            assert b[s].tobytes() == drift(p, point).tobytes()
+    # the closed-form model that verify's reversibility checks run on
+    for p, gamma, drift in ((params, gamma_model1, drift_model1),
+                            (params2, gamma_model2, drift_model2)):
+        model = ms._closed_form_model(p, n, d)
+        for point in points:
+            x = point_to_real(point)
+            assert model.gamma(x).tobytes() == gamma(p, point).tobytes()
+            assert model.drift(x).tobytes() == drift(p, point).tobytes()
 
 
 def test_model1_weights_built_once_per_closure(rng, monkeypatch):
@@ -595,3 +613,100 @@ def test_model1_weights_built_once_per_closure(rng, monkeypatch):
         model.gamma(x)
         model.drift(x)
     assert len(calls) == 1
+
+
+# -- quadratic coefficient form -----------------------------------------------
+
+def _coefficient_case(kind, n, d, seed, b_style):
+    """(params, closed-form Gamma, closed-form drift, model) of model I
+    at a random non-unit symmetric A (diagonal included) or of model II."""
+    import matrix_dirichlet.matrix_simplex as ms
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(0.5, 3.0, n + 1)
+    if kind == "I":
+        A = rng.uniform(0.2, 2.0, (n + 1, n + 1))
+        params = Model1Params(0.5 * (A + A.T), a)
+        return (params, lambda x: gamma_model1(params, real_to_point(x, n, d)),
+                lambda x: drift_model1(params, real_to_point(x, n, d)),
+                ms.model1(params, d))
+    A, B = model2_fixture(rng, d, b_style)
+    params = Model2Params(A, B, a)
+    return (params, lambda x: gamma_model2(params, real_to_point(x, n, d)),
+            lambda x: drift_model2(params, real_to_point(x, n, d)),
+            ms.model2(params, n))
+
+
+_CASES = st.one_of(
+    st.tuples(st.just("I"), st.integers(1, 3), st.integers(1, 3),
+              st.just(None)),
+    st.tuples(st.just("II"), st.integers(1, 2), st.integers(2, 3),
+              st.sampled_from(["identity", "diag"])))
+
+
+@given(case=_CASES, seed=st.integers(0, 2**31))
+@settings(max_examples=30, deadline=None)
+def test_coefficient_form_matches_closed_forms(case, seed):
+    kind, n, d, b_style = case
+    _, gamma, drift, model = _coefficient_case(kind, n, d, seed, b_style)
+    rng = np.random.default_rng(seed)
+    for _ in range(5):
+        x = point_to_real(sample_interior(n, d, rng))
+        for got, want in ((model.gamma(x), gamma(x)),
+                          (model.drift(x), drift(x))):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        assert model.gamma(x).tobytes() == model.gamma(x).T.tobytes()
+
+
+@given(case=_CASES, seed=st.integers(0, 2**31))
+@settings(max_examples=20, deadline=None)
+def test_stencil_closures_finite_at_stencil_points(case, seed):
+    # the stencil 0, +-e_i, e_i + e_j lies outside the simplex
+    import matrix_dirichlet.matrix_simplex as ms
+    kind, n, d, b_style = case
+    params = _coefficient_case(kind, n, d, seed, b_style)[0]
+    gamma_table, drift_table = (ms._model1_tables(params, d) if kind == "I"
+                                else ms._model2_tables(params, n))
+    layout = simplex_layout(n, d)
+    eye = np.eye(layout.real_dim)
+    X = [np.zeros(layout.real_dim)] + [s * e for e in eye for s in (1.0, -1.0)]
+    X += [eye[i] + eye[j]
+          for i, j in itertools.combinations(range(layout.real_dim), 2)]
+    Z = np.array([layout.from_real(x) for x in X])
+    with np.errstate(all="raise"):
+        T, b = gamma_table(Z), drift_table(Z)
+    assert np.isfinite(T).all() and np.isfinite(b).all()
+
+
+@pytest.mark.parametrize("kind, n, d, A, b_style", [
+    ("I", 1, 2, np.ones((2, 2)) - np.eye(2), None),
+    ("I", 1, 2, np.array([[0.3, 1.7], [1.7, 0.9]]), None),
+    ("I", 3, 3, np.ones((4, 4)) - np.eye(4), None),
+    ("II", 1, 2, None, "identity"),
+    ("II", 2, 2, None, "diag"),
+])
+def test_paths_match_closed_form_reference(kind, n, d, A, b_style, rng):
+    # reference: a model of the public closed forms, evaluated per call
+    if kind == "I":
+        params = Model1Params(A, np.linspace(1.5, 2.5, n + 1))
+        model = model1(params, d)
+        gamma = lambda x: gamma_model1(params, real_to_point(x, n, d))
+        drift = lambda x: drift_model1(params, real_to_point(x, n, d))
+    else:
+        A2, B2 = model2_fixture(rng, d, b_style)
+        params = Model2Params(A2, B2, np.linspace(1.5, 2.5, n + 1))
+        model = model2(params, n)
+        gamma = lambda x: gamma_model2(params, real_to_point(x, n, d))
+        drift = lambda x: drift_model2(params, real_to_point(x, n, d))
+    reference = DiffusionModel(model.dim, gamma, drift, model.domain_test)
+    x0 = point_to_real(MatrixSimplexPoint(
+        [np.eye(d, dtype=complex) / (n + 1)] * n))
+    rejections = 0
+    for seed in (3, 5):
+        cfg = SimConfig(dt=1e-3, n_steps=1000, seed=seed)
+        got = simulate(model, x0, cfg, record=True)
+        want = simulate(reference, x0, cfg, record=True)
+        assert got.n_rejections == want.n_rejections
+        assert np.max(np.abs(got.states - want.states)) <= 1e-12
+        rejections += got.n_rejections
+    assert rejections > 0  # the step-halving branch is compared too

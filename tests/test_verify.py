@@ -6,9 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from matrix_dirichlet.calculus import DiffusionModel
+from matrix_dirichlet.realify import CoordStack, RealLayout
 from matrix_dirichlet.verify import (
-    SUITE_NAMES, _check, _scalar_wishart_pairs, format_report,
-    independence_check, moment_test, run_suite)
+    SUITE_NAMES, _check, _check_table, _reversibility_check,
+    _scalar_wishart_pairs, format_report, independence_check, moment_test,
+    run_suite)
 from matrix_dirichlet.wishart import sample_wishart_family
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -96,6 +99,32 @@ def test_run_suite_one_sample_keeps_every_check():
 def test_check_on_no_sample_fails():
     checks = []
     _check(checks, "empty", 0.0, 1.0, 0)
+    assert not checks[0]["pass"]
+
+
+def _ou(drift):
+    return DiffusionModel(1, gamma=lambda x: np.array([[1.0]]), drift=drift)
+
+
+def test_check_table_nan_entry_fails():
+    # the NaN entry comes after a finite residual of the same row
+    stack = CoordStack([("x", RealLayout(1))])
+    table = [("gamma_xx", "raw", "x", "x", ""), ("L_x", "raw", "x", None, "")]
+    frames = [(_ou(lambda x: -x), lambda x: x.copy(), stack, np.array([x]),
+               {"gamma_xx": np.array([[g]]), "L_x": np.array([-x])})
+              for x, g in ((0.3, 1.0 + 1e-9), (-0.4, np.nan))]
+    worst, failures = _check_table(frames, table)
+    assert np.isnan(worst["gamma_xx"]) and "gamma_xx" in failures
+    assert worst["L_x"] < 1e-6 and "L_x" not in failures
+
+
+def test_reversibility_check_nan_drift_fails():
+    # OU is reversible for N(0, 1); its drift turns NaN at the second point
+    model = _ou(lambda x: -x if x[0] < 0.0 else x * np.nan)
+    checks = []
+    _reversibility_check(checks, "ou.reversibility", model, lambda x: -x,
+                         [np.array([-0.5]), np.array([0.5])])
+    assert np.isnan(checks[0]["max_abs_residual"])
     assert not checks[0]["pass"]
 
 
