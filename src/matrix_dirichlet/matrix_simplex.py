@@ -29,13 +29,16 @@ stored sparse.  Each model build takes it from the closed forms' own
 kernels by exact differences at the stencil 0, +-e_i, e_i + e_j, which
 the kernels evaluate in batches of stacked points: 1 + 2 dim +
 dim (dim - 1) / 2 evaluations, about 1 ms at state dimension 4 and
-30 ms (model I) or 80 ms (model II) at 27.
+30 ms (model I) or 80 ms (model II) at 27.  The domain test of both is
+one LAPACK Cholesky call on the block-diagonal matrix of the n + 1
+blocks, filled from x by cached index maps.
 """
 
 import functools
 
 import numpy as np
 from scipy.linalg import block_diag
+from scipy.linalg.lapack import zpotrf
 from scipy.special import gammaln
 
 from .calculus import DiffusionModel
@@ -68,7 +71,7 @@ class MatrixSimplexPoint:
     def last(self):
         """Id - sum Z; exactly Hermitian when every Z is, as for points
         read from real coordinates."""
-        return _identity(self.d) - self.Z.sum(axis=0)
+        return np.eye(self.d) - self.Z.sum(axis=0)
 
     def all_blocks(self):
         """All n+1 blocks, the last one included, as an (n+1, d, d) array."""
@@ -76,14 +79,6 @@ class MatrixSimplexPoint:
         out[:self.n] = self.Z
         out[self.n] = self.last()
         return out
-
-
-@functools.cache
-def _identity(d):
-    """Read-only d x d identity, built once per d for the EM hot path."""
-    eye = np.eye(d)
-    eye.flags.writeable = False
-    return eye
 
 
 def point_to_real(point):
@@ -94,27 +89,52 @@ def real_to_point(x, n, d, check=False):
     return MatrixSimplexPoint(simplex_layout(n, d).from_real(x), check=check)
 
 
+@functools.cache
+def _block_diagonal_slots(n, d):
+    """Read-only maps of in_matrix_simplex: per real coordinate of the n
+    free blocks, then of the last one, its float slot in the upper triangle
+    of block-diagonal Fortran-ordered complex ((n+1)d)^2 storage; and Id."""
+    layout = simplex_layout(1, d)
+    entry, part = np.divmod(layout._take, 2)
+    i, j = np.divmod(entry, d)
+    k = d * np.arange(n + 1)[:, None]
+    slots = 2 * (k + i + (k + j) * (n + 1) * d) + part
+    maps = slots[:n].ravel(), slots[n], layout.to_real(np.eye(d))
+    for arr in maps:
+        arr.flags.writeable = False
+    return maps
+
+
 def in_matrix_simplex(x, n, d, margin=1e-12):
     """Whether every block of x, Id - sum Z included, exceeds margin * Id.
 
-    The test is one Cholesky factorisation of the stacked (n+1, d, d)
-    array [Z_1 .. Z_n, Id - sum Z] - margin * Id: x is inside when each
-    block has all eigenvalues above margin.  Points whose smallest block
-    eigenvalue lies within roundoff of margin may go either way.  A
-    negative margin admits points that far outside the simplex.  A point
-    with a NaN or infinite coordinate is outside (Cholesky does not raise
-    on NaN).
+    The test is one LAPACK Cholesky factorisation of the block-diagonal
+    diag(Z_1 .. Z_n, Id - sum Z) - margin * Id, filled from x by index
+    maps: x is inside when each block has all eigenvalues above margin.
+    The entries off the blocks are 0, so each block factors as if alone.
+    Points whose smallest block eigenvalue lies within roundoff of margin
+    may go either way.  A negative margin admits points that far outside
+    the simplex.  A point with a NaN or infinite coordinate is outside
+    (Cholesky does not flag NaN).
     """
-    if not np.isfinite(x).all():
+    x = np.asarray(x, dtype=float)
+    if np.count_nonzero(np.isfinite(x)) < x.size:  # faster than .all()
         return False
-    S = MatrixSimplexPoint(simplex_layout(n, d).from_real(x),
-                           check=False).all_blocks()
-    S -= margin * _identity(d)
-    try:
-        np.linalg.cholesky(S)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    free, last, eye = _block_diagonal_slots(n, d)
+    N = (n + 1) * d
+    a = np.zeros(2 * N * N)
+    a.put(free, x)
+    # Id - sum Z, the blocks added in order as Z.sum(axis=0) adds them;
+    # a loop of slices costs less than a reduction call at small n
+    m = d * d
+    s = x[:m]
+    for k in range(m, n * m, m):
+        s = s + x[k:k + m]
+    a.put(last, eye - s)
+    a[::2 * N + 2] -= margin  # the real parts of the diagonal
+    # upper triangle, no clean-up, in place: passed by position, as f2py
+    # takes longer to parse the keywords than to factor the matrix
+    return zpotrf(a.view(complex).reshape(N, N).T, 0, 0, 1)[1] == 0
 
 
 def _ginibre_squares(d, dims, rng, K):
@@ -162,6 +182,9 @@ def sample_matrix_dirichlet_direct(d, dims, rng):
 def sample_interior(n, d, rng, margin=1e-6):
     """Random point at least margin inside: a matrix Dirichlet draw with
     every Wishart degree d + 1, redrawn until inside."""
+    if not margin < 1.0 / (n + 1):  # the n + 1 blocks sum to Id
+        raise ValueError("the %d blocks cannot all exceed %r * Id"
+                         % (n + 1, margin))
     dims = [d + 1] * (n + 1)
     while True:
         point = sample_matrix_dirichlet_direct(d, dims, rng)
@@ -215,6 +238,8 @@ class Model1Params:
     def __init__(self, A, a):
         A = np.asarray(A, dtype=float)
         a = np.asarray(a, dtype=float)
+        if not (np.isfinite(A).all() and np.isfinite(a).all()):
+            raise ValueError("A and a must be finite")
         if A.shape != (a.size, a.size) or not np.allclose(A, A.T):
             raise ValueError("A must be symmetric (n+1)x(n+1) matching a")
         if np.any(a <= 0):
@@ -290,7 +315,7 @@ def _model1_tables(params, d):
 
     def blocks(Z):  # all n+1 blocks of each point, as all_blocks
         return np.concatenate(
-            [Z, _identity(d) - Z.sum(axis=1, keepdims=True)], axis=1)
+            [Z, np.eye(d) - Z.sum(axis=1, keepdims=True)], axis=1)
 
     def gamma(Z):
         # points on the fastest axis of memory: einsum then runs its inner
@@ -353,6 +378,8 @@ class Model2Params:
         A = np.asarray(A, dtype=complex)
         B = np.asarray(B, dtype=complex)
         a = np.asarray(a, dtype=float)
+        if not all(np.isfinite(v).all() for v in (A, B, a)):
+            raise ValueError("A, B and a must be finite")
         d = A.shape[0]
         if A.shape != (d, d) or np.max(np.abs(A - A.conj().T)) > 1e-12:
             raise ValueError("A must be Hermitian")

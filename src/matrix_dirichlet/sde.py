@@ -78,11 +78,13 @@ def diffusion_factor(G):
 
     Diagonal pivoting handles semidefinite G (boundary points of the
     state space), where the factor has trailing zero columns.  Raises
-    NotPsdError when G has an eigenvalue below -1e-10 * scale.
+    NotPsdError for a non-finite G or an eigenvalue below -1e-10 * scale.
     """
     G = np.asarray(G, dtype=float)
     A = G + G.T  # = 2 G for symmetric G, symmetrizes roundoff otherwise
     scale = max(float(np.abs(A).max()), 1e-300)
+    if not scale < np.inf:  # NaN, or an infinite entry
+        raise NotPsdError("matrix is not finite")
     c, piv, rank, info = dpstrf(A, lower=1)
     if info < 0:
         raise NotPsdError("pivoted Cholesky failed (info %d)" % info)
@@ -96,7 +98,7 @@ def diffusion_factor(G):
     R = sigma @ sigma.T
     R -= A
     resid = float(np.abs(R, out=R).max())
-    if resid > 1e-10 * scale:
+    if not resid <= 1e-10 * scale:  # a NaN residual fails too
         raise NotPsdError(
             "matrix is not psd (factor residual %.3e)" % resid)
     return sigma

@@ -229,7 +229,15 @@ def test_large_seed_accepted(tmp_path):
     '{"schema": 1, "model": "I", "n": 2, "d": -1, "A": [[0, 1, 1], '
     '[1, 0, 1], [1, 1, 0]], "a": [2, 2, 2]}',
     '{"schema": 1, "model": "I", "n": 2, "d": 2, "A": {}, "a": [2, 2, 2]}',
-], ids=["list", "d-null", "d-0", "d-negative", "A-object"])
+    # json reads NaN and Infinity; the model would leave the domain at once
+    '{"schema": 1, "model": "I", "n": 1, "d": 2, "A": [[0, 1], [1, 0]], '
+    '"a": [2, Infinity]}',
+    '{"schema": 1, "model": "I", "n": 1, "d": 2, "A": [[0, Infinity], '
+    '[Infinity, 0]], "a": [2, 2]}',
+    '{"schema": 1, "model": "II", "n": 1, "d": 1, "A": [[[NaN, 0]]], '
+    '"B": [[[0.4, 0]]], "a": [2, 2]}',
+], ids=["list", "d-null", "d-0", "d-negative", "A-object", "a-infinite",
+        "A-infinite", "A-nan"])
 def test_malformed_model_file_exits_2(content, tmp_path, capsys):
     path = tmp_path / "m.json"
     path.write_text(content)

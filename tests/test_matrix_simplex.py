@@ -73,6 +73,15 @@ def test_sample_interior_valid(rng):
             assert np.min(np.linalg.eigvalsh(Z)) > 1e-3
 
 
+@pytest.mark.parametrize("n, margin", [
+    (1, 0.6), (1, 0.5), (2, 1.0 / 3.0), (3, 0.25), (1, np.nan)])
+def test_sample_interior_rejects_impossible_margin(n, margin, rng):
+    # the n + 1 blocks sum to Id, so some block has an eigenvalue at most
+    # 1 / (n + 1): no draw is ever inside, and the redraw loop never ends
+    with pytest.raises(ValueError, match="blocks"):
+        sample_interior(n, 2, rng, margin=margin)
+
+
 def _min_block_eigenvalue(x, n, d):
     blocks = real_to_point(x, n, d).all_blocks()
     return min(np.linalg.eigvalsh(B).min() for B in blocks)
@@ -108,6 +117,74 @@ def test_domain_test_rejects_non_finite(bad):
         y = x.copy()
         y[k] = bad
         assert not in_matrix_simplex(y, 2, 2)
+
+
+def _in_matrix_simplex_ref(x, n, d, margin=1e-12):
+    """The earlier domain test: a point object, its stacked n + 1 blocks
+    and numpy's batched Cholesky, which raises on a block that fails."""
+    if not np.isfinite(x).all():
+        return False
+    S = MatrixSimplexPoint(simplex_layout(n, d).from_real(x),
+                           check=False).all_blocks()
+    S -= margin * np.eye(d)
+    try:
+        np.linalg.cholesky(S)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+@given(n=st.integers(1, 3), d=st.integers(1, 3), seed=st.integers(0, 2**31),
+       margin=st.sampled_from([0.0, 1e-12, 1e-6, -1e-10]),
+       kind=st.sampled_from(["interior", "exterior", "above", "below",
+                             "nan", "inf", "-inf"]))
+@settings(max_examples=300, deadline=None)
+def test_domain_test_matches_stacked_cholesky(n, d, seed, margin, kind):
+    gen = np.random.Generator(np.random.Philox(seed))
+    x = point_to_real(sample_interior(n, d, gen))
+    if kind == "exterior":
+        x = x + gen.normal(0.0, 0.3, x.size)
+    elif kind in ("above", "below"):
+        # the smallest block eigenvalue at margin +- 1e-9, as in
+        # test_domain_test_matches_eigenvalues
+        centre = point_to_real(MatrixSimplexPoint(
+            [np.eye(d) / (n + 1)] * n))
+        low = _min_block_eigenvalue(x, n, d)
+        assume(1.0 / (n + 1) - low > 1e-3)
+        target = margin + (1e-9 if kind == "above" else -1e-9)
+        c = (1.0 / (n + 1) - target) / (1.0 / (n + 1) - low)
+        x = centre + c * (x - centre)
+    elif kind != "interior":
+        x[gen.integers(x.size)] = float(kind)
+    got = in_matrix_simplex(x, n, d, margin=margin)
+    assert got is _in_matrix_simplex_ref(x, n, d, margin=margin)
+    if kind in ("above", "below"):
+        assert got == (kind == "above")
+    if kind in ("nan", "inf", "-inf"):
+        assert not got
+
+
+@pytest.mark.parametrize("kind, n, d, dt", [
+    ("I", 1, 2, 8e-3), ("II", 1, 2, 8e-3), ("I", 3, 3, 1e-3)])
+def test_paths_match_stacked_cholesky_domain(kind, n, d, dt, rng):
+    # dt is large enough that every path leaves the domain and halves
+    if kind == "I":
+        model = model1(Model1Params(np.ones((n + 1, n + 1)) - np.eye(n + 1),
+                                    np.full(n + 1, 2.0)), d)
+    else:
+        A2, B2 = model2_fixture(rng, d)
+        model = model2(Model2Params(A2, B2, np.full(n + 1, 2.0)), n)
+    reference = DiffusionModel(
+        model.dim, model.gamma, model.drift,
+        lambda x: _in_matrix_simplex_ref(x, n, d))
+    x0 = point_to_real(MatrixSimplexPoint(
+        [np.eye(d, dtype=complex) / (n + 1)] * n))
+    for seed in (3, 5):
+        cfg = SimConfig(dt=dt, n_steps=1000, seed=seed)
+        got = simulate(model, x0, cfg, record=True)
+        want = simulate(reference, x0, cfg, record=True)
+        assert got.n_rejections == want.n_rejections > 0
+        assert got.states.tobytes() == want.states.tobytes()
 
 
 # -- density ------------------------------------------------------------------
@@ -516,6 +593,21 @@ def test_params_validation():
                      np.zeros((2, 2, 2, 2)), np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
         params_from_json({"schema": 2})
+    # NaN slips past comparisons (a <= 0, the symmetry and Hermitian
+    # checks), and an infinite exponent or weight passes them
+    A1 = np.ones((2, 2)) - np.eye(2)
+    A1_inf = np.array([[0.0, np.inf], [np.inf, 0.0]])
+    for A, a in [(A1, [np.nan, 1.0]), (A1, [np.inf, 1.0]),
+                 (A1_inf, [1.0, 1.0]), (-A1_inf, [1.0, 1.0])]:
+        with pytest.raises(ValueError, match="finite"):
+            Model1Params(A, np.array(a))
+    A2, B2 = np.eye(2), 0.4 * np.eye(4).reshape(2, 2, 2, 2)
+    B2_inf = B2.copy()
+    B2_inf[0, 1, 0, 1] = np.inf
+    for A, B, a in [(A2, B2, [np.nan, 1.0]), (A2, B2, [np.inf, 1.0]),
+                    (A2 * np.nan, B2, [1.0, 1.0]), (A2, B2_inf, [1.0, 1.0])]:
+        with pytest.raises(ValueError, match="finite"):
+            Model2Params(A, B, np.array(a))
 
 
 def _model1_file(**changes):

@@ -60,6 +60,27 @@ def test_diffusion_factor_rank_deficient_and_indefinite(m, data, seed):
         diffusion_factor(Q @ np.diag(lam) @ Q.T)
 
 
+@pytest.mark.parametrize("G", [
+    [[1.0, np.nan], [np.nan, 1.0]], [[np.nan, 0.0], [0.0, 1.0]],
+    [[np.inf, 0.0], [0.0, 1.0]], [[1.0, np.inf], [np.inf, 1.0]],
+    [[-np.inf, 0.0], [0.0, 1.0]]],
+    ids=["nan-off-diagonal", "nan-diagonal", "inf-diagonal",
+         "inf-off-diagonal", "minus-inf-diagonal"])
+def test_diffusion_factor_rejects_non_finite(G):
+    # a NaN residual compares False with any tolerance, so the factor of
+    # such a G came back without an error
+    with pytest.raises(NotPsdError, match="not finite"):
+        diffusion_factor(np.array(G))
+
+
+def test_em_step_reports_non_finite_gamma(rng):
+    # not eight halvings and "step left the domain"
+    model = DiffusionModel(2, gamma=lambda x: np.full((2, 2), np.nan),
+                           drift=lambda x: np.zeros(2))
+    with pytest.raises(NotPsdError):
+        em_step(model, np.zeros(2), 1e-3, rng)
+
+
 def test_em_step_deterministic_limit(rng):
     # zero co-metric: the step is the exact drift increment
     model = DiffusionModel(2, gamma=lambda x: np.zeros((2, 2)),
