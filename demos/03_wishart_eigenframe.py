@@ -11,10 +11,10 @@ import numpy as np
 
 from matrix_dirichlet.calculus import pushforward_generator
 from matrix_dirichlet.matrix_simplex import (
-    drift_model2_entries, gamma_model2_entries)
+    drift_model2_entries, gamma_model2_entries, simplex_layout)
 from matrix_dirichlet.wishart import (
     closed_form_smz_system, sample_matrix_dirichlet_direct, sample_smz_frame,
-    smz_projection, theorem_params, wishart_ambient, wishart_layout)
+    smz_projection, theorem_params, wishart_ambient)
 
 rng = np.random.Generator(np.random.Philox(33))
 d, dims = 2, [3, 3]
@@ -28,7 +28,7 @@ print(np.round(fr.Z[0], 4))
 # against the closed forms, at this frame
 ambient = wishart_ambient(d, dims)
 F, stack = smz_projection(d, dims, base_frame=fr)
-x = wishart_layout(len(dims), d).to_real(family.W)
+x = simplex_layout(len(dims), d).to_real(family.W)
 G, L = pushforward_generator(ambient, F, x)
 sys = closed_form_smz_system(fr)
 

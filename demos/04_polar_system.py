@@ -12,7 +12,7 @@ from matrix_dirichlet.calculus import pushforward_generator
 from matrix_dirichlet.matrix_simplex import (
     MatrixSimplexPoint, drift_model1_entries, gamma_model1_entries)
 from matrix_dirichlet.polar import (
-    closed_form_polar_system, complex_bm_ambient, degenerate_dirichlet_params,
+    DegenerateDirichletParams, closed_form_polar_system, complex_bm_ambient,
     polar_projection, sample_polar_frame, scalar_projection_params,
     scalar_projection_v)
 from matrix_dirichlet.realify import CplxLayout
@@ -46,7 +46,7 @@ print("L(lambda) residual:            %.2e"
 
 # the free column projectors Z^(k) follow the first matrix family with
 # A_ij from the radial part and a = 2 - d (not integrable for d >= 2)
-params = degenerate_dirichlet_params(fr)
+params = DegenerateDirichletParams(fr.lam)
 point = MatrixSimplexPoint(fr.Z[:d - 1], check=False)
 res_g = np.max(np.abs(gamma_model1_entries(params, point)
                       - sys["gamma_ZZ"]))

@@ -17,21 +17,23 @@ implemented over the realified entry coordinates:
 
 Both admit the matrix Dirichlet measure with parameter a as reversible law.
 
-The public closed forms (gamma_model1, drift_model1, gamma_model2,
-drift_model2 and their _entries tables) are what the calculus oracle
-checks.  Gamma is quadratic and the drift affine in the real coordinates
-x, so the models that `model1` and `model2` hand to the integrator
-evaluate the coefficient form
+Each model has one pair of kernels, the private _model1_tables and
+_model2_tables: its closed forms Gamma and drift as entry tables of
+stacked free blocks, with the parameter tables built once per pair.  The
+public closed forms (gamma_model1, drift_model1, gamma_model2,
+drift_model2 and their _entries tables) are their one-point evaluations,
+and are what the calculus oracle checks.  Gamma is quadratic and the
+drift affine in the real coordinates x, so the models that `model1` and
+`model2` hand to the integrator evaluate the coefficient form
 
     Gamma(x) = C0 + C1 x + C2 (x (x) x),    b(x) = b0 + B1 x,
 
-stored sparse.  Each model build takes it from the closed forms' own
-kernels by exact differences at the stencil 0, +-e_i, e_i + e_j, which
-the kernels evaluate in batches of stacked points: 1 + 2 dim +
-dim (dim - 1) / 2 evaluations, about 1 ms at state dimension 4 and
-30 ms (model I) or 80 ms (model II) at 27.  The domain test of both is
-one LAPACK Cholesky call on the block-diagonal matrix of the n + 1
-blocks, filled from x by cached index maps.
+stored sparse.  Each model build takes it from the same kernels by exact
+differences at the stencil 0, +-e_i, e_i + e_j, evaluated in batches of
+stacked points: 1 + 2 dim + dim (dim - 1) / 2 evaluations, about 1 ms at
+state dimension 4 and 30 ms (model I) or 80 ms (model II) at 27.  The
+domain test of both is one LAPACK Cholesky call on the block-diagonal
+matrix of the n + 1 blocks, filled from x by cached index maps.
 """
 
 import functools
@@ -114,9 +116,11 @@ def in_matrix_simplex(x, n, d, margin=1e-12):
     The entries off the blocks are 0, so each block factors as if alone.
     Points whose smallest block eigenvalue lies within roundoff of margin
     may go either way.  A negative margin admits points that far outside
-    the simplex.  A point with a NaN or infinite coordinate is outside
-    (Cholesky does not flag NaN).
+    the simplex; a NaN or infinite one raises ValueError.  A point with a
+    NaN or infinite coordinate is outside (Cholesky does not flag NaN).
     """
+    if not abs(margin) < np.inf:  # NaN too, which every pivot would pass
+        raise ValueError("margin must be finite, got %r" % (margin,))
     x = np.asarray(x, dtype=float)
     if np.count_nonzero(np.isfinite(x)) < x.size:  # faster than .all()
         return False
@@ -249,13 +253,14 @@ class Model1Params:
         self.n = a.size - 1
 
 
-def _model1_weights(params, d):
-    """Parameter-only tables of model I at block size d: K[p, q, s] =
-    delta_pq A_sp - delta_sq A_pq weighs the products of Z^(s) and Z^(p)
-    in the (p, q) block of Gamma, and the drift of block p is
-    sum_s w_ps Z^(s)."""
-    n = params.n
-    A, a = params.A, params.a
+def _model1_tables(params, d):
+    """Model I's closed forms at block size d, as kernels (gamma, drift) of
+    stacked free blocks Z, (S, n, d, d), with the parameter tables built
+    once: K[p, q, s] = delta_pq A_sp - delta_sq A_pq weighs
+    Z^(s)_il Z^(p)_kj + Z^(p)_il Z^(s)_kj, over all n+1 blocks, in the
+    (p, q) block of the entry table of Gamma, (S, n d^2, n d^2), and the
+    entry drift, (S, n d^2), of block p is sum_s w_ps Z^(s)."""
+    n, A, a = params.n, params.A, params.a
     diag = np.arange(n)
     K = np.zeros((n, n, n + 1))
     K[diag, diag] = A[:, :n].T
@@ -264,54 +269,7 @@ def _model1_weights(params, d):
     c = 2.0 * (a + d - 1.0)
     w = c[:n, None] * A[:n]
     w[diag, diag] -= A[:n] @ c
-    K.flags.writeable = w.flags.writeable = False
-    return K, w
-
-
-def _gamma_model1_table(K, blocks):
-    """sum_s K_pqs (Z^(s)_il Z^(p)_kj + Z^(p)_il Z^(s)_kj) over all n+1
-    blocks, (..., n+1, d, d), indexed [..., p, i, j, q, k, l] and
-    flattened to (..., n d^2, n d^2)."""
-    n, d = K.shape[0], blocks.shape[-1]
-    Z = blocks[..., :n, :, :]
-    T = np.einsum("pqs,...sil,...pkj->...pijqkl", K, blocks, Z)
-    T += np.einsum("pqs,...pil,...skj->...pijqkl", K, Z, blocks)
-    return T.reshape(blocks.shape[:-3] + (n * d * d, n * d * d))
-
-
-def _drift_model1_table(w, blocks):
-    """sum_s w_ps Z^(s) over all n+1 blocks, (..., n+1, d, d), flattened
-    to (..., n d^2)."""
-    drift = np.einsum("ps,...sij->...pij", w, blocks)
-    return drift.reshape(blocks.shape[:-3] + (-1,))
-
-
-def gamma_model1_entries(params, point):
-    """Entry-space Gamma table of model I (free blocks only)."""
-    K, _ = _model1_weights(params, point.d)
-    return _gamma_model1_table(K, point.all_blocks())
-
-
-def gamma_model1(params, point):
-    layout = simplex_layout(point.n, point.d)
-    return layout.gamma_to_real(gamma_model1_entries(params, point))
-
-
-def drift_model1_entries(params, point):
-    _, w = _model1_weights(params, point.d)
-    return _drift_model1_table(w, point.all_blocks())
-
-
-def drift_model1(params, point):
-    layout = simplex_layout(point.n, point.d)
-    return layout.drift_to_real(drift_model1_entries(params, point))
-
-
-def _model1_tables(params, d):
-    """gamma_model1_entries and drift_model1_entries by their own kernels,
-    as functions of stacked free blocks (S, n, d, d) with the parameter
-    tables built once: row s has the bits of the public form at Z[s]."""
-    K, w = _model1_weights(params, d)
+    m = n * d * d
 
     def blocks(Z):  # all n+1 blocks of each point, as all_blocks
         return np.concatenate(
@@ -321,9 +279,34 @@ def _model1_tables(params, d):
         # points on the fastest axis of memory: einsum then runs its inner
         # loops over them, about twice as fast, and its three-operand sums
         # still add term by term in s order, so the bits stay
-        return _gamma_model1_table(K, np.asfortranarray(blocks(Z)))
+        Y = np.asfortranarray(blocks(Z))
+        T = np.einsum("pqs,...sil,...pkj->...pijqkl", K, Y, Y[:, :n])
+        T += np.einsum("pqs,...pil,...skj->...pijqkl", K, Y[:, :n], Y)
+        return T.reshape(len(Z), m, m)
 
-    return gamma, lambda Z: _drift_model1_table(w, blocks(Z))
+    def drift(Z):
+        return np.einsum("ps,...sij->...pij", w, blocks(Z)).reshape(len(Z), m)
+
+    return gamma, drift
+
+
+def gamma_model1_entries(params, point):
+    """Entry-space Gamma table of model I (free blocks only)."""
+    return _model1_tables(params, point.d)[0](point.Z[None])[0]
+
+
+def gamma_model1(params, point):
+    layout = simplex_layout(point.n, point.d)
+    return layout.gamma_to_real(gamma_model1_entries(params, point))
+
+
+def drift_model1_entries(params, point):
+    return _model1_tables(params, point.d)[1](point.Z[None])[0]
+
+
+def drift_model1(params, point):
+    layout = simplex_layout(point.n, point.d)
+    return layout.drift_to_real(drift_model1_entries(params, point))
 
 
 def model1(params, d):
@@ -368,7 +351,8 @@ def ellipticity_model1(params, d, sampler, n_samples=20):
 # -- model II -----------------------------------------------------------------
 
 class Model2Params:
-    """Hermitian pd A (d x d), Hermitian psd B (d,d,d,d tensor), exponents a.
+    """Hermitian pd A (d x d), Hermitian psd B (d,d,d,d tensor) and
+    exponents a, one per block: n = a.size - 1 free blocks.
 
     B[i, a, l, b] is the coefficient coupling entry pair (i,a) with (l,b);
     Hermitian means B[i,a,l,b] = conj(B[l,b,i,a]).
@@ -394,37 +378,55 @@ class Model2Params:
         self.B = B
         self.a = a
         self.d = d
+        self.n = a.size - 1
+
+
+def _model2_tables(params):
+    """Model II's closed forms, as kernels (gamma, drift) of stacked free
+    blocks Z, (S, n, d, d), with the drift's parameter terms built once:
+    the entry table of Gamma, (S, n d^2, n d^2), and the entry drift,
+    (S, n d^2).  With P_pq = Z^(p) Z^(q) - delta_pq Z^(p), the A terms of
+    Gamma are -A_kj (P_pq)_il - A_il (P_qp)_kj, a table plus its transpose.
+    The four B terms are the commutator [Z^(q), W_pij^T]_kl with
+    W_pij[x, y] = sum_a B_iaxy Z^(p)_aj - Z^(p)_ia B_ajxy."""
+    n, d, A, B, a = params.n, params.d, params.A, params.B, params.a
+    # the constant 2 (a_p - 1 + d) A of block p and the coefficient of
+    # A Z + Z A in the drift
+    base = (2.0 * (a[:n] - 1.0 + d))[:, None, None] * A
+    coeff = float(np.sum(a[:n] - 1.0 + d) + (a[n] - 1.0))
+
+    def gamma(Z):
+        _model2_n(params, Z.shape[1])
+        lead = Z.shape[:1]
+        P = Z[..., :, None, :, :] @ Z[..., None, :, :, :]
+        P.reshape(lead + (n * n, d, d))[..., ::n + 1, :, :] -= Z
+        X = np.einsum("kj,...pqil->...pijqkl", A, P)
+        W = np.einsum("iaxy,...paj->...pijxy", B, Z)
+        W -= (Z @ B.reshape(d, d ** 3)).reshape(lead + (n, d, d, d, d))
+        Wt = W.swapaxes(-2, -1)[..., None, :, :]
+        Zq = Z[..., None, None, None, :, :, :]
+        T = Zq @ Wt
+        T -= Wt @ Zq
+        T -= X
+        T -= X.transpose(0, 4, 5, 6, 1, 2, 3)
+        return T.reshape(lead + (n * d * d, n * d * d))
+
+    def drift(Z):
+        _model2_n(params, Z.shape[1])
+        out = base - coeff * (A @ Z + Z @ A)
+        out -= 2.0 * np.trace(Z, axis1=-2, axis2=-1)[..., None, None] * A
+        out += np.einsum("iajb,...pab->...pij", B, Z)
+        out += np.einsum("bjai,...pab->...pij", B, Z)
+        out -= np.einsum("iaba,...pbj->...pij", B, Z)
+        out -= np.einsum("bjba,...pia->...pij", B, Z)
+        return out.reshape(len(Z), -1)
+
+    return gamma, drift
 
 
 def gamma_model2_entries(params, point):
-    """Entry-space Gamma table of model II, indexed [p, i, j, q, k, l].
-
-    With P_pq = Z^(p) Z^(q) - delta_pq Z^(p), the A terms are
-    -A_kj (P_pq)_il - A_il (P_qp)_kj, a table plus its transpose.  The four
-    B terms are the commutator [Z^(q), W_pij^T]_kl with
-    W_pij[x, y] = sum_a B_iaxy Z^(p)_aj - Z^(p)_ia B_ajxy.
-    """
-    return _gamma_model2_table(params.A, params.B, point.Z)
-
-
-def _gamma_model2_table(A, B, Z):
-    """gamma_model2_entries at the free blocks Z, (..., n, d, d), as an
-    (..., n d^2, n d^2) table."""
-    n, d = Z.shape[-3], Z.shape[-1]
-    lead = Z.shape[:-3]
-    P = Z[..., :, None, :, :] @ Z[..., None, :, :, :]
-    P.reshape(lead + (n * n, d, d))[..., ::n + 1, :, :] -= Z
-    X = np.einsum("kj,...pqil->...pijqkl", A, P)
-    W = np.einsum("iaxy,...paj->...pijxy", B, Z)
-    W -= (Z @ B.reshape(d, d ** 3)).reshape(lead + (n, d, d, d, d))
-    Wt = W.swapaxes(-2, -1)[..., None, :, :]
-    Zq = Z[..., None, None, None, :, :, :]
-    T = Zq @ Wt
-    T -= Wt @ Zq
-    T -= X
-    k = len(lead)
-    T -= X.transpose(tuple(range(k)) + (k + 3, k + 4, k + 5, k, k + 1, k + 2))
-    return T.reshape(lead + (n * d * d, n * d * d))
+    """Entry-space Gamma table of model II, indexed [p, i, j, q, k, l]."""
+    return _model2_tables(params)[0](point.Z[None])[0]
 
 
 def gamma_model2(params, point):
@@ -432,32 +434,8 @@ def gamma_model2(params, point):
     return layout.gamma_to_real(gamma_model2_entries(params, point))
 
 
-def _model2_drift_terms(params, n):
-    """Parameter-only parts of the model II drift: the constant
-    2 (a_p - 1 + d) A of block p and the coefficient of A Z + Z A."""
-    d, A, a = params.d, params.A, params.a
-    coeff = float(np.sum(a[:n] - 1.0 + d) + (a[n] - 1.0))
-    base = (2.0 * (a[:n] - 1.0 + d))[:, None, None] * A
-    base.flags.writeable = False
-    return base, coeff
-
-
-def _drift_model2_table(params, base, coeff, Z):
-    """The model II drift at the free blocks Z, (..., n, d, d), flattened
-    to (..., n d^2)."""
-    A, B = params.A, params.B
-    out = base - coeff * (A @ Z + Z @ A)
-    out -= 2.0 * np.trace(Z, axis1=-2, axis2=-1)[..., None, None] * A
-    out += np.einsum("iajb,...pab->...pij", B, Z)
-    out += np.einsum("bjai,...pab->...pij", B, Z)
-    out -= np.einsum("iaba,...pbj->...pij", B, Z)
-    out -= np.einsum("bjba,...pia->...pij", B, Z)
-    return out.reshape(Z.shape[:-3] + (-1,))
-
-
 def drift_model2_entries(params, point):
-    base, coeff = _model2_drift_terms(params, point.n)
-    return _drift_model2_table(params, base, coeff, point.Z)
+    return _model2_tables(params)[1](point.Z[None])[0]
 
 
 def drift_model2(params, point):
@@ -465,33 +443,32 @@ def drift_model2(params, point):
     return layout.drift_to_real(drift_model2_entries(params, point))
 
 
-def _model2_tables(params, n):
-    """gamma_model2_entries and drift_model2_entries by their own kernels,
-    as functions of stacked free blocks (S, n, d, d) with the drift's
-    parameter terms built once: row s has the bits of the public form at
-    Z[s]."""
-    base, coeff = _model2_drift_terms(params, n)
-    return (lambda Z: _gamma_model2_table(params.A, params.B, Z),
-            lambda Z: _drift_model2_table(params, base, coeff, Z))
+def _model2_n(params, n):
+    """params.n, after checking that a given number of blocks n agrees."""
+    if n is not None and n != params.n:
+        raise ValueError("model II with %d exponents has %d blocks, not %r"
+                         % (params.n + 1, params.n, n))
+    return params.n
 
 
-def model2(params, n):
-    """Model II over the real coordinates of n blocks of size params.d,
-    integrated through its quadratic coefficient form."""
-    return _coefficient_model(simplex_layout(n, params.d),
-                              *_model2_tables(params, n))
+def model2(params, n=None):
+    """Model II over the real coordinates of params.n blocks of size
+    params.d, integrated through its quadratic coefficient form."""
+    return _coefficient_model(simplex_layout(_model2_n(params, n), params.d),
+                              *_model2_tables(params))
 
 
 # -- quadratic coefficient form -----------------------------------------------
 
-def _closed_form_model(params, n, d):
-    """Model I or II evaluating its closed forms at each call, with the
-    bits of gamma_model1, drift_model1 (or gamma_model2, drift_model2) and
-    the parameter tables built once; the coefficient form that model1 and
-    model2 integrate is taken from the same kernels."""
+def _closed_form_model(params, d):
+    """Model I or II at block size d evaluating its closed forms at each
+    call, with the bits of gamma_model1, drift_model1 (or gamma_model2,
+    drift_model2) and the parameter tables built once; the coefficient
+    form that model1 and model2 integrate is taken from the same kernels."""
     gamma_table, drift_table = (
         _model1_tables(params, d) if isinstance(params, Model1Params)
-        else _model2_tables(params, n))
+        else _model2_tables(params))
+    n = params.n
     layout = simplex_layout(n, d)
 
     def gamma(x):
@@ -551,8 +528,7 @@ def _stencil_coefficients(layout, gamma_table, drift_table):
         row, slot = np.divmod(np.flatnonzero(coef), n_upper)
         parts.append((slot, monomial[row], coef[row * n_upper + slot]))
 
-    def blocks(X):  # the free blocks of each row of X
-        return np.array([layout.from_real(x) for x in X])
+    blocks = layout.from_real  # the free blocks of each row of X
 
     # 0 and +-e_i: the constant, linear and square terms
     T0 = gamma_table(blocks(np.zeros((1, dim))))
@@ -657,22 +633,21 @@ def _json_to_complex(v):
 
 
 def params_to_json(params, n=None, d=None):
-    """JSON-ready dict of model parameters; model I needs the block size d,
-    model II the number of free blocks n."""
+    """JSON-ready dict of model parameters; model I needs the block size d.
+    Model II takes n from its exponents; a given n must equal params.n."""
     if isinstance(params, Model1Params):
         if d is None:
             raise ValueError("a model I file needs the block size d")
         return {"schema": 1, "model": "I", "n": params.n, "d": int(d),
                 "A": params.A.tolist(), "a": params.a.tolist()}
-    if n is None:
-        raise ValueError("a model II file needs the number of blocks n")
+    n = _model2_n(params, n)
     d = params.d
     A = [[_complex_to_json(params.A[i, j]) for j in range(d)]
          for i in range(d)]
     Bmat = params.B.reshape(d * d, d * d)
     B = [[_complex_to_json(Bmat[i, j]) for j in range(d * d)]
          for i in range(d * d)]
-    return {"schema": 1, "model": "II", "n": int(n), "d": d,
+    return {"schema": 1, "model": "II", "n": n, "d": d,
             "A": A, "B": B, "a": params.a.tolist()}
 
 

@@ -292,10 +292,6 @@ class DegenerateDirichletParams:
         self.integrable = x.size == 1
 
 
-def degenerate_dirichlet_params(frame):
-    return DegenerateDirichletParams(frame.lam)
-
-
 def scalar_projection_v(frame):
     """The top-left entries v_k = Z^(k)_11, a point of the simplex."""
     return np.array(frame.Z[:-1, 0, 0].real)

@@ -159,10 +159,12 @@ class HermLayout(Realifier):
         return Z.view(float).reshape(-1)[self._take]
 
     def from_real(self, x):
-        """The n Hermitian blocks of x, as one (n, d, d) complex array."""
-        out = np.asarray(x, dtype=float).take(self._put)
+        """The n Hermitian blocks of x, as one (n, d, d) complex array; a
+        stack of points (..., real_dim) gives (..., n, d, d)."""
+        x = np.asarray(x, dtype=float)
+        out = x.take(self._put, axis=-1)
         out *= self._sign
-        return out.view(complex).reshape(self.n, self.d, self.d)
+        return out.view(complex).reshape(*x.shape[:-1], self.n, self.d, self.d)
 
 
 @functools.cache

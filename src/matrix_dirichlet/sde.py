@@ -104,12 +104,12 @@ def diffusion_factor(G):
     return sigma
 
 
-def _em_chain(model, x, dt, rng, retries):
+def _em_chain(model, x, dt, rng):
     """Advance time dt with step-halving on domain exits.
 
     Returns (x', n_rejections).  Raises StepRejectedError once a single
-    sub-step has been halved more than `retries` times, or once the step
-    has taken _MAX_SUBSTEPS sub-steps.
+    sub-step has been halved more than _MAX_STEP_RETRIES times, or once the
+    step has taken _MAX_SUBSTEPS sub-steps.
     """
     x = np.asarray(x, dtype=float)
     drift, gamma, inside = model.drift, model.gamma, model.domain_test
@@ -134,10 +134,10 @@ def _em_chain(model, x, dt, rng, retries):
         else:
             n_rej += 1
             fails += 1
-            if fails > retries:
-                raise StepRejectedError(
-                    "step left the domain after %d halvings" % retries,
-                    position=x, proposal=prop)
+            if fails > _MAX_STEP_RETRIES:
+                raise StepRejectedError("step left the domain after %d "
+                                        "halvings" % _MAX_STEP_RETRIES,
+                                        position=x, proposal=prop)
             h *= 0.5
     if t < t_end:
         raise StepRejectedError(
@@ -147,11 +147,10 @@ def _em_chain(model, x, dt, rng, retries):
     return x, n_rej
 
 
-def em_step(model, x, dt, rng, retries=_MAX_STEP_RETRIES):
+def em_step(model, x, dt, rng):
     """One Euler-Maruyama increment of total length dt (sub-stepped on
     domain exits)."""
-    out, _ = _em_chain(model, x, dt, rng, retries)
-    return out
+    return _em_chain(model, x, dt, rng)[0]
 
 
 class PathSummary:
@@ -208,7 +207,7 @@ def simulate(model, x0, config, record=False):
     recorded = 0
     dt, burn_in, thin = config.dt, config.burn_in, config.thin
     for step in range(config.n_steps):
-        x, rej = _em_chain(model, x, dt, rng, _MAX_STEP_RETRIES)
+        x, rej = _em_chain(model, x, dt, rng)
         n_rej += rej
         k = step - burn_in
         if k >= 0 and (k + 1) % thin == 0 and recorded < count:

@@ -26,8 +26,8 @@ from .matrix_simplex import (
     gamma_model2_entries, matrix_dirichlet_grad_log, point_to_real,
     real_to_point, sample_interior, simplex_layout)
 from .polar import (
-    PolarFrame, closed_form_polar_system, complex_bm_ambient,
-    degenerate_dirichlet_params, diagonal_point_forms, invariance_transport,
+    DegenerateDirichletParams, PolarFrame, closed_form_polar_system,
+    complex_bm_ambient, diagonal_point_forms, invariance_transport,
     polar_projection, sample_polar_frame, scalar_projection_params,
     scalar_projection_v)
 from .poly import MultiPoly, check_boundary_affine_exact
@@ -43,7 +43,7 @@ from .sun import (
 from .wishart import (
     closed_form_smz_system, matrix_ou_ambient, sample_smz_frame,
     sample_wishart_family, smz_projection, theorem_params, wishart_ambient,
-    wishart_grad_log, wishart_layout)
+    wishart_grad_log)
 
 SUITE_NAMES = ("scalar", "model1", "model2", "sun", "wishart", "polar", "all")
 
@@ -201,7 +201,7 @@ def check_frame_identities(d, dims, rng, n_frames):
     drifts, TOL_GAMMA for the rest).
     """
     ambient = wishart_ambient(d, [float(r) for r in dims])
-    layout = wishart_layout(len(dims), d)
+    layout = simplex_layout(len(dims), d)
 
     def frame():
         fam, fr = sample_smz_frame(d, dims, rng)
@@ -427,7 +427,7 @@ def _suite_model1(rng, samples):
     a = np.array([1.6, 2.1, 1.3])
     mp = Model1Params(_random_A(rng, n + 1), a)
     _reversibility_check(
-        checks, "model1.reversibility", _closed_form_model(mp, n, d),
+        checks, "model1.reversibility", _closed_form_model(mp, d),
         lambda x: matrix_dirichlet_grad_log(a, real_to_point(x, n, d)),
         [point_to_real(sample_interior(n, d, rng, margin=1e-2))
          for _ in range(20)])
@@ -470,7 +470,7 @@ def _suite_model2(rng, samples):
         mp = Model2Params(A, B, a)
         _reversibility_check(
             checks, "model2.reversibility." + style,
-            _closed_form_model(mp, n, d),
+            _closed_form_model(mp, d),
             lambda x: matrix_dirichlet_grad_log(a, real_to_point(x, n, d)),
             [point_to_real(sample_interior(n, d, rng, margin=1e-2))
              for _ in range(max(ns, 10))])
@@ -541,7 +541,7 @@ def _suite_wishart(rng, samples):
 
     # reversibility of the ambient Wishart model
     d, dims = 2, [3.0, 3.0]
-    layout = wishart_layout(2, d)
+    layout = simplex_layout(2, d)
     points = []
     while len(points) < 10:
         fam = sample_wishart_family(d, dims, rng)
@@ -612,7 +612,7 @@ def _suite_polar(rng, samples):
     res = 0.0
     for d in (2, 3):
         _, fr = sample_polar_frame(d, rng)
-        params = degenerate_dirichlet_params(fr)
+        params = DegenerateDirichletParams(fr.lam)
         point = MatrixSimplexPoint(fr.Z[:d - 1], check=False)
         sys = closed_form_polar_system(fr)
         res = float(np.max([

@@ -26,6 +26,8 @@ from .matrix_simplex import (  # noqa: F401 (the direct sampler is re-exported)
     MatrixSimplexPoint, Model2Params, _ginibre_squares, log_gamma_d,
     sample_matrix_dirichlet_direct, simplex_layout)
 from .realify import CoordStack, CplxLayout, HermLayout, RealLayout
+# the former name of simplex_layout, which the acceptance tests still import
+from .realify import simplex_layout as wishart_layout  # noqa: F401
 
 
 class WishartFamily:
@@ -47,13 +49,9 @@ class WishartFamily:
                 raise DomainError("block is not psd")
 
 
-def wishart_layout(n_blocks, d):
-    return simplex_layout(n_blocks, d)
-
-
 def wishart_ambient(d, dims):
     m = len(dims)
-    layout = wishart_layout(m, d)
+    layout = simplex_layout(m, d)
     Id = np.eye(d)
     Im = np.eye(m)
     r = np.asarray(dims, dtype=float)[:, None, None]
@@ -88,7 +86,7 @@ def matrix_ou_ambient(d, m):
 
     model = DiffusionModel(layout.real_dim, gamma, drift)
 
-    wlay = wishart_layout(1, d)
+    wlay = simplex_layout(1, d)
 
     def project(x):
         Y = layout.from_real(x)
@@ -122,7 +120,7 @@ def wishart_grad_log(dims, W_list):
     m, d = W.shape[:2]
     r = np.asarray(dims, dtype=float)[:, None, None]
     g = (r - d) * np.linalg.inv(W).swapaxes(1, 2) - 0.5 * np.eye(d)
-    return wishart_layout(m, d).grad_to_real(g.ravel())
+    return simplex_layout(m, d).grad_to_real(g.ravel())
 
 
 def sample_wishart_family(d, dims, rng):
@@ -194,7 +192,7 @@ def smz_projection(d, dims, base_frame=None):
     """
     m = len(dims)
     n = m - 1
-    wlay = wishart_layout(m, d)
+    wlay = simplex_layout(m, d)
     stack = smz_stack(n, d)
     base_U = None if base_frame is None else np.asarray(base_frame.U)
 

@@ -8,12 +8,12 @@ from matrix_dirichlet.calculus import (
 from matrix_dirichlet.errors import RankDeficientFit
 from matrix_dirichlet.polar import (
     complex_bm_ambient, polar_projection, sample_polar_frame)
-from matrix_dirichlet.realify import CplxLayout
+from matrix_dirichlet.realify import CplxLayout, simplex_layout
 from matrix_dirichlet.simplex import (
     ScalarModelParams, sample_dirichlet, sample_sphere, scalar_model,
     sphere_ambient)
 from matrix_dirichlet.wishart import (
-    sample_smz_frame, smz_projection, wishart_ambient, wishart_layout)
+    sample_smz_frame, smz_projection, wishart_ambient)
 
 
 def ou_model():
@@ -94,7 +94,7 @@ def _wishart_case(rng):
     fam, fr = sample_smz_frame(d, dims, rng)
     F, _ = smz_projection(d, dims, base_frame=fr)
     return (wishart_ambient(d, [float(r) for r in dims]), F,
-            wishart_layout(len(dims), d).to_real(fam.W))
+            simplex_layout(len(dims), d).to_real(fam.W))
 
 
 def _polar_case(rng):

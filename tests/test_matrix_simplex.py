@@ -119,6 +119,14 @@ def test_domain_test_rejects_non_finite(bad):
         assert not in_matrix_simplex(y, 2, 2)
 
 
+@pytest.mark.parametrize("margin", [np.nan, np.inf, -np.inf])
+def test_domain_test_rejects_non_finite_margin(margin):
+    # a NaN margin makes every Cholesky pivot NaN, which passes its test,
+    # so the point below, far outside, would read as inside
+    with pytest.raises(ValueError, match="margin"):
+        in_matrix_simplex(np.array([5.0, 5.0, 0.1, 0.0]), 1, 2, margin=margin)
+
+
 def _in_matrix_simplex_ref(x, n, d, margin=1e-12):
     """The earlier domain test: a point object, its stacked n + 1 blocks
     and numpy's batched Cholesky, which raises on a block that fails."""
@@ -660,6 +668,40 @@ def test_params_to_json_needs_the_block_size():
                                     np.full(2, 2.0)))
 
 
+def _model2_three_exponents(rng):
+    A, B = model2_fixture(rng, 2)
+    return Model2Params(A, B, np.array([2.0, 2.5, 3.0]))
+
+
+def test_model2_takes_n_from_its_exponents(rng):
+    params = _model2_three_exponents(rng)
+    assert params.n == 2
+    assert params_from_json(params_to_json(params))[1:] == (2, 2)
+    assert params_to_json(params, n=2) == params_to_json(params)
+    model = model2(params)
+    assert model.dim == simplex_layout(2, 2).real_dim
+    x = point_to_real(sample_interior(2, 2, rng))
+    given_n = model2(params, 2)
+    assert model.gamma(x).tobytes() == given_n.gamma(x).tobytes()
+    assert model.drift(x).tobytes() == given_n.drift(x).tobytes()
+
+
+@pytest.mark.parametrize("form", [
+    lambda p, point: model2(p, 1),
+    lambda p, point: model2(p, 3),
+    lambda p, point: params_to_json(p, n=1),
+    lambda p, point: drift_model2(p, point),
+    lambda p, point: gamma_model2(p, point),
+], ids=["model2-n1", "model2-n3", "json-n1", "drift-1-block",
+        "gamma-1-block"])
+def test_model2_rejects_another_n(form, rng):
+    # three exponents mean two free blocks; a one-block point or a file
+    # of another n would pair blocks with the wrong exponents
+    params = _model2_three_exponents(rng)
+    with pytest.raises(ValueError, match="3 exponents"):
+        form(params, sample_interior(1, 2, rng))
+
+
 @pytest.mark.parametrize("n, d", [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3)])
 def test_model_closures_bitwise_equal_to_public_forms(n, d, rng):
     # the coefficient form is taken from the closed-form entry tables of
@@ -677,7 +719,7 @@ def test_model_closures_bitwise_equal_to_public_forms(n, d, rng):
     for (gamma_table, drift_table), gamma, drift, p in (
             (ms._model1_tables(params, d), gamma_model1_entries,
              drift_model1_entries, params),
-            (ms._model2_tables(params2, n), gamma_model2_entries,
+            (ms._model2_tables(params2), gamma_model2_entries,
              drift_model2_entries, params2)):
         T, b = gamma_table(Z), drift_table(Z)
         for s, point in enumerate(points):
@@ -686,7 +728,7 @@ def test_model_closures_bitwise_equal_to_public_forms(n, d, rng):
     # the closed-form model that verify's reversibility checks run on
     for p, gamma, drift in ((params, gamma_model1, drift_model1),
                             (params2, gamma_model2, drift_model2)):
-        model = ms._closed_form_model(p, n, d)
+        model = ms._closed_form_model(p, d)
         for point in points:
             x = point_to_real(point)
             assert model.gamma(x).tobytes() == gamma(p, point).tobytes()
@@ -694,17 +736,23 @@ def test_model_closures_bitwise_equal_to_public_forms(n, d, rng):
 
 
 def test_model1_weights_built_once_per_closure(rng, monkeypatch):
+    # one parameter-table build per model build and none per call, for
+    # the integrated model and for verify's closed-form model alike
     import matrix_dirichlet.matrix_simplex as ms
     calls = []
-    build = ms._model1_weights
-    monkeypatch.setattr(ms, "_model1_weights",
+    build = ms._model1_tables
+    monkeypatch.setattr(ms, "_model1_tables",
                         lambda *args: calls.append(args) or build(*args))
-    model = model1(Model1Params(random_A(rng, 3), np.full(3, 2.0)), 2)
+    params = Model1Params(random_A(rng, 3), np.full(3, 2.0))
     x = point_to_real(sample_interior(2, 2, rng))
-    for _ in range(3):
-        model.gamma(x)
-        model.drift(x)
-    assert len(calls) == 1
+    for make in (model1, ms._closed_form_model):
+        calls.clear()
+        model = make(params, 2)
+        assert len(calls) == 1
+        for _ in range(3):
+            model.gamma(x)
+            model.drift(x)
+        assert len(calls) == 1
 
 
 # -- quadratic coefficient form -----------------------------------------------
@@ -758,13 +806,13 @@ def test_stencil_closures_finite_at_stencil_points(case, seed):
     kind, n, d, b_style = case
     params = _coefficient_case(kind, n, d, seed, b_style)[0]
     gamma_table, drift_table = (ms._model1_tables(params, d) if kind == "I"
-                                else ms._model2_tables(params, n))
+                                else ms._model2_tables(params))
     layout = simplex_layout(n, d)
     eye = np.eye(layout.real_dim)
     X = [np.zeros(layout.real_dim)] + [s * e for e in eye for s in (1.0, -1.0)]
     X += [eye[i] + eye[j]
           for i, j in itertools.combinations(range(layout.real_dim), 2)]
-    Z = np.array([layout.from_real(x) for x in X])
+    Z = layout.from_real(np.array(X))
     with np.errstate(all="raise"):
         T, b = gamma_table(Z), drift_table(Z)
     assert np.isfinite(T).all() and np.isfinite(b).all()

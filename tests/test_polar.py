@@ -7,8 +7,8 @@ from matrix_dirichlet.linalg import _fix_phases, haar_unitary
 from matrix_dirichlet.matrix_simplex import (
     MatrixSimplexPoint, drift_model1_entries, gamma_model1_entries)
 from matrix_dirichlet.polar import (
-    PolarFrame, complex_bm_ambient, closed_form_polar_system,
-    degenerate_dirichlet_params, diagonal_point_forms, invariance_transport,
+    DegenerateDirichletParams, PolarFrame, complex_bm_ambient,
+    closed_form_polar_system, diagonal_point_forms, invariance_transport,
     polar_projection, polar_stack, sample_polar_frame,
     scalar_projection_params, scalar_projection_v)
 from matrix_dirichlet.realify import CplxLayout, HermLayout
@@ -58,12 +58,12 @@ def test_closed_form_hand_values():
     np.testing.assert_allclose(sys["gamma_lamlam"], np.eye(2))
     # L(x_1) = 1/1 + 4*1/(1 - 4) = -1/3
     assert abs(sys["L_lam"][0] - (1.0 - 4.0 / 3.0)) < 1e-12
-    params = degenerate_dirichlet_params(fr)
+    params = DegenerateDirichletParams(fr.lam)
     assert abs(params.A[0, 1] - 10.0 / 9.0) < 1e-12
     np.testing.assert_allclose(params.a, 0.0)  # 2 - d at d = 2
     assert not params.integrable
     one = PolarFrame(np.array([[1.3 + 0.0j]]))
-    assert degenerate_dirichlet_params(one).integrable
+    assert DegenerateDirichletParams(one.lam).integrable
 
 
 def test_polar_identities_d2(rng):
@@ -130,7 +130,7 @@ def test_degenerate_template_match(rng):
     # the rank-one system is the first matrix model with A = r, a = 2 - d
     for d in (2, 3):
         _, fr = sample_polar_frame(d, rng)
-        params = degenerate_dirichlet_params(fr)
+        params = DegenerateDirichletParams(fr.lam)
         point = MatrixSimplexPoint(fr.Z[:d - 1], check=False)
         sys = closed_form_polar_system(fr)
         np.testing.assert_allclose(gamma_model1_entries(params, point),
@@ -165,7 +165,7 @@ def test_w_column_projectors(rng):
     # the W-column projectors Y^(k) satisfy the same rank-one template
     d = 3
     m, fr = sample_polar_frame(d, rng)
-    params = degenerate_dirichlet_params(fr)
+    params = DegenerateDirichletParams(fr.lam)
     lay = CplxLayout(d * d, shape=(d, d))
     hlay = HermLayout(d - 1, d)
     ambient = complex_bm_ambient(d)

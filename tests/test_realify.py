@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from matrix_dirichlet.realify import (
     CoordStack, CplxLayout, HermLayout, RealLayout, simplex_layout)
-from matrix_dirichlet.wishart import wishart_layout
 
 from conftest import random_hermitian
 
@@ -24,6 +23,11 @@ def test_herm_roundtrip(n, d, seed):
     for xs in (xi.tolist(), xi.astype(np.float32)):
         np.testing.assert_array_equal(layout.from_real(xs),
                                       layout.from_real(xi.astype(float)))
+    # a stack of points reads as each point alone, bit for bit
+    X = np.array([x, -x, 2.0 * x])
+    assert (layout.from_real(X).tobytes()
+            == np.array([layout.from_real(y) for y in X]).tobytes())
+    assert layout.from_real(X[None]).shape == (1, 3, n, d, d)
     # every coordinate sits where the index helpers say
     for k, Z in enumerate(Zs):
         for i in range(d):
@@ -40,7 +44,6 @@ def test_herm_roundtrip(n, d, seed):
 
 def test_simplex_layout_is_shared():
     assert simplex_layout(2, 3) is simplex_layout(2, 3)
-    assert wishart_layout(2, 3) is simplex_layout(2, 3)
     assert simplex_layout(2, 3) is not simplex_layout(3, 2)
 
 

@@ -95,7 +95,8 @@ def test_em_step_rejection(rng):
                            drift=lambda x: np.zeros(1),
                            domain_test=lambda x: abs(x[0]) < 1e-12)
     with pytest.raises(StepRejectedError) as exc:
-        em_step(model, np.zeros(1), 1.0, rng, retries=3)
+        em_step(model, np.zeros(1), 1.0, rng)
+    assert "after 8 halvings" in str(exc.value)
     assert exc.value.position is not None
     assert exc.value.proposal is not None
 

@@ -10,20 +10,20 @@ from matrix_dirichlet.errors import DomainError
 from matrix_dirichlet.matrix_simplex import (
     _direct_draws, _ginibre_squares, drift_model2_entries,
     gamma_model2_entries)
-from matrix_dirichlet.realify import HermLayout
+from matrix_dirichlet.realify import HermLayout, simplex_layout
 from matrix_dirichlet.sde import em_step
 from matrix_dirichlet.verify import check_frame_identities
 from matrix_dirichlet.wishart import (
     SMZFrame, WishartFamily, closed_form_smz_system,
     matrix_ou_ambient, sample_matrix_dirichlet_direct, sample_smz_frame,
     sample_wishart_family, sm_operator, smz_projection, theorem_params,
-    wishart_ambient, wishart_grad_log, wishart_layout, wishart_log_density)
+    wishart_ambient, wishart_grad_log, wishart_log_density)
 
 
 def test_ambient_hand_values():
     d = 2
     model = wishart_ambient(d, [3.0])
-    layout = wishart_layout(1, d)
+    layout = simplex_layout(1, d)
     x = layout.to_real([np.eye(d, dtype=complex)])
     b = model.drift(x)
     expect = layout.drift_to_real((10.0 * np.eye(d)).ravel().astype(complex))
@@ -33,7 +33,7 @@ def test_ambient_hand_values():
 def test_ambient_block_independence(rng):
     d = 2
     model = wishart_ambient(d, [3.0, 4.0])
-    layout = wishart_layout(2, d)
+    layout = simplex_layout(2, d)
     fam = sample_wishart_family(d, [3, 4], rng)
     G = model.gamma(layout.to_real(fam.W))
     T = layout.gamma_to_entries(G)
@@ -68,7 +68,7 @@ def test_density_non_integrable():
 def test_reversibility(rng):
     d, dims = 2, [3.0, 3.0]
     model = wishart_ambient(d, dims)
-    layout = wishart_layout(2, d)
+    layout = simplex_layout(2, d)
     for _ in range(10):
         fam = sample_wishart_family(d, dims, rng)
         if min(np.min(np.linalg.eigvalsh(W)) for W in fam.W) < 0.1:
@@ -83,7 +83,7 @@ def test_reversibility(rng):
 # dW = sqrt(W) dB + dB* sqrt(W) + (alpha W + beta Id) dt with alpha = -2,
 # beta = 12 is the Wishart model with dimension parameter beta / 4
 _SDE_MODEL = wishart_ambient(2, [3.0])
-_SDE_LAYOUT = wishart_layout(1, 2)
+_SDE_LAYOUT = simplex_layout(1, 2)
 
 
 def _wishart_em_step(W, dt, rng):
