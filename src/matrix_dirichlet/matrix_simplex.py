@@ -28,9 +28,10 @@ drift affine in the real coordinates x, so the models that `model1` and
 
     Gamma(x) = C0 + C1 x + C2 (x (x) x),    b(x) = b0 + B1 x,
 
-stored sparse.  Each model build takes it from the same kernels by exact
+stored sparse.  Each model build takes it from the same kernels with the
+builder in `calculus` that the scalar model of `simplex` also uses: exact
 differences at the stencil 0, +-e_i, e_i + e_j, evaluated in batches of
-stacked points: 1 + 2 dim + dim (dim - 1) / 2 evaluations, about 1 ms at
+stacked points, 1 + 2 dim + dim (dim - 1) / 2 evaluations, about 1 ms at
 state dimension 4 and 30 ms (model I) or 80 ms (model II) at 27.  The
 domain test of both is one LAPACK Cholesky call on the block-diagonal
 matrix of the n + 1 blocks, filled from x by cached index maps.
@@ -43,7 +44,7 @@ from scipy.linalg import block_diag
 from scipy.linalg.lapack import zpotrf
 from scipy.special import gammaln
 
-from .calculus import DiffusionModel
+from .calculus import DiffusionModel, _coefficient_form
 from .errors import DomainError
 from .linalg import _hermitize, sqrtm_psd
 from .realify import simplex_layout
@@ -444,7 +445,10 @@ def drift_model2(params, point):
 
 
 def _model2_n(params, n):
-    """params.n, after checking that a given number of blocks n agrees."""
+    """params.n, after checking that it is at least 1 and that a given
+    number of blocks n agrees."""
+    if params.n < 1:
+        raise ValueError("model II with one exponent has no free block")
     if n is not None and n != params.n:
         raise ValueError("model II with %d exponents has %d blocks, not %r"
                          % (params.n + 1, params.n, n))
@@ -481,125 +485,15 @@ def _closed_form_model(params, d):
                           domain_test=lambda x: in_matrix_simplex(x, n, d))
 
 
-_STENCIL_BATCH = 16  # stencil points per batched closed-form evaluation
-
-
-def _stencil_coefficients(layout, gamma_table, drift_table):
-    """Sparse coefficients of Gamma(x) = C0 + C1 x + C2 (x (x) x) and
-    b(x) = b0 + B1 x, taken from the entry tables gamma_table(Z) and
-    drift_table(Z) of stacked free blocks Z at the stencil 0, +-e_i,
-    e_i + e_j, evaluated _STENCIL_BATCH points at a time.
-
-    Monomial p (dim + 1) + q is the product of entries p <= q of (1, x):
-    0 is the constant, i + 1 is x_i and (i + 1) (dim + 2) is x_i^2.
-    Returns (slot, monomial, coefficient) arrays for the upper triangle of
-    Gamma, slots in np.triu_indices(dim) order, and the same for b, whose
-    monomial i + 1 indexes (1, x) itself.  For a quadratic Gamma and an
-    affine b the differences are exact up to roundoff.  They are taken
-    in entry space, batch by batch, and only their non-zero entries are
-    converted to real coordinates; only non-zero coefficients are kept.
-    Each batch covers its own monomials, so no table over all of them is
-    built.
-    """
-    dim = layout.real_dim
-    m = dim + 1
-    n_upper = dim * m // 2
-    eye = np.eye(dim)
-    # Gamma(x_a, x_b) = Re sum_ef D_ae T_ef D_bf.  Column e of D holds at
-    # most two real coordinates (a zero weight pads it to two).
-    D = layout.D
-    coord = np.argsort(D == 0, axis=0, kind="stable")[:2].T
-    weight = D[coord, np.arange(D.shape[1])[:, None]]
-    parts = []
-
-    def keep(T, monomial):
-        # the real upper-triangle coefficients of the entry tables T, one
-        # table per monomial, from their non-zero entries
-        k, e, f = np.nonzero(T)
-        a = coord[e][:, :, None]
-        b = coord[f][:, None, :]
-        value = (weight[e][:, :, None] * T[k, e, f][:, None, None]
-                 * weight[f][:, None, :]).real
-        upper = a <= b
-        # position of (a, b), a <= b, in np.triu_indices(dim)
-        slot = a * dim - a * (a - 1) // 2 + b - a
-        coef = np.bincount((k[:, None, None] * n_upper + slot)[upper],
-                           value[upper], len(T) * n_upper)
-        row, slot = np.divmod(np.flatnonzero(coef), n_upper)
-        parts.append((slot, monomial[row], coef[row * n_upper + slot]))
-
-    blocks = layout.from_real  # the free blocks of each row of X
-
-    # 0 and +-e_i: the constant, linear and square terms
-    T0 = gamma_table(blocks(np.zeros((1, dim))))
-    keep(T0, np.zeros(1, dtype=np.intp))
-    unit = np.empty((dim,) + T0.shape[1:], dtype=complex)  # T(e_i) - T(0)
-    for start in range(0, dim, _STENCIL_BATCH):
-        i = np.arange(start, min(start + _STENCIL_BATCH, dim))
-        T = gamma_table(blocks(np.concatenate([eye[i], -eye[i]])))
-        Tp, Tm = T[:i.size], T[i.size:]
-        keep(0.5 * (Tp - Tm), i + 1)
-        keep(0.5 * (Tp + Tm) - T0, (i + 1) * (m + 1))
-        unit[i] = Tp - T0
-    # e_i + e_j: the cross terms
-    pi, pj = np.triu_indices(dim, 1)
-    for start in range(0, pi.size, _STENCIL_BATCH):
-        batch = slice(start, start + _STENCIL_BATCH)
-        p, q = pi[batch], pj[batch]
-        T = gamma_table(blocks(eye[p] + eye[q]))
-        T -= T0
-        T -= unit[p]
-        T -= unit[q]
-        keep(T, (p + 1) * m + q + 1)
-    g_slot, g_mono, g_coef = (np.concatenate(col) for col in zip(*parts))
-    l = drift_table(blocks(np.concatenate([np.zeros((1, dim)), eye, -eye])))
-    b = np.array([layout.drift_to_real(row) for row in l])
-    b = np.concatenate([b[:1], 0.5 * (b[1:m] - b[m:])])
-    b_row, b_slot = np.nonzero(b)
-    tables = (g_slot, g_mono, g_coef, b_slot, b_row, b[b_row, b_slot])
-    for arr in tables:
-        arr.flags.writeable = False
-    return tables
-
-
 def _coefficient_model(layout, gamma_table, drift_table):
-    """DiffusionModel of the closed forms with entry tables gamma_table and
-    drift_table (see _stencil_coefficients) over the real coordinates of
-    layout, evaluated through their quadratic coefficient form.
-
-    The coefficients are taken once, when the model is built (see
-    _stencil_coefficients).  Gamma and b then cost one gather of
-    monomials and one np.bincount each, which sums in a fixed order, so
-    the bits do not depend on the BLAS thread count.  Gamma's upper
-    triangle fills both halves through one more gather, so it is exactly
-    symmetric.
-    """
-    n, d, dim = layout.n, layout.d, layout.real_dim
-    g_slot, g_mono, g_coef, b_slot, b_mono, b_coef = _stencil_coefficients(
-        layout, gamma_table, drift_table)
-    # slots[i, j]: position of (min(i, j), max(i, j)) in np.triu_indices
-    iu = np.triu_indices(dim)
-    n_upper = iu[0].size
-    slots = np.empty((dim, dim), dtype=np.intp)
-    slots[iu] = slots.T[iu] = np.arange(n_upper)
-
-    def gamma(x):
-        x1 = np.empty(dim + 1)
-        x1[0] = 1.0
-        x1[1:] = x
-        terms = np.multiply.outer(x1, x1).ravel()[g_mono]
-        terms *= g_coef
-        return np.bincount(g_slot, terms, n_upper)[slots]
-
-    def drift(x):
-        x1 = np.empty(dim + 1)
-        x1[0] = 1.0
-        x1[1:] = x
-        terms = x1[b_mono]
-        terms *= b_coef
-        return np.bincount(b_slot, terms, dim)
-
-    return DiffusionModel(dim, gamma, drift,
+    """DiffusionModel over the real coordinates of layout of the closed
+    forms with entry tables gamma_table and drift_table, integrated
+    through their coefficient form (see calculus._coefficient_form)."""
+    n, d = layout.n, layout.d
+    gamma, drift = _coefficient_form(layout.D, layout.from_real, gamma_table,
+                                     drift_table)
+    return DiffusionModel(layout.real_dim, lambda x: gamma(x),
+                          lambda x: drift(x),
                           domain_test=lambda x: in_matrix_simplex(x, n, d))
 
 

@@ -85,7 +85,8 @@ def diffusion_factor(G):
     scale = max(float(np.abs(A).max()), 1e-300)
     if not scale < np.inf:  # NaN, or an infinite entry
         raise NotPsdError("matrix is not finite")
-    c, piv, rank, info = dpstrf(A, lower=1)
+    # tol -1 (the default) and lower, by position: f2py parses keywords slowly
+    c, piv, rank, info = dpstrf(A, -1.0, 1)
     if info < 0:
         raise NotPsdError("pivoted Cholesky failed (info %d)" % info)
     n = A.shape[0]

@@ -11,6 +11,12 @@ where x_{n+1} = 1 - sum x_i.  Its reversible law is the Dirichlet
 distribution with parameter a.  Three ambient constructions (rotation fields
 on the sphere, independent one-dimensional square-root processes, and a
 weighted radial/angular product) project onto it.
+
+The closed forms gamma_simplex and drift_simplex, one-point views of the
+kernel pair _scalar_tables, are what the calculus oracle checks.
+`scalar_model` integrates through the coefficient form that the builder in
+`calculus` takes from the same kernels, as models I and II do, with the
+identity as the map from entries to real coordinates.
 """
 
 import itertools
@@ -19,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import gammaln
 
-from .calculus import DiffusionModel
+from .calculus import DiffusionModel, _coefficient_form
 from .errors import DomainError, OffSphereError
 from .poly import MultiPoly
 
@@ -42,10 +48,9 @@ class ScalarModelParams:
             raise ValueError("a must be positive")
         self.A = A
         self.a = a
-        self.n = n = a.size - 1
-        # parameter-only factors of the closed forms, built once
-        self._minus_A = -A[:n, :n]
-        self._A_a = A[:n] @ a  # sum_j A_ij a_j for i = 1..n
+        self.n = a.size - 1
+        # the closed forms' kernels, with their parameter factors built once
+        self._tables = _scalar_tables(self)
 
 
 def full_coordinates(x):
@@ -58,38 +63,77 @@ def full_coordinates(x):
 
 
 def in_simplex(x, margin=0.0):
-    # min() is NaN when any coordinate is, and NaN >= margin is False
-    return bool(full_coordinates(x).min() >= margin)
+    x = np.asarray(x, dtype=float)
+    # NaN fails each >=; with no coordinates only x_{n+1} = 1 is tested
+    return bool(x.min(initial=np.inf) >= margin and 1.0 - x.sum() >= margin)
+
+
+def _scalar_tables(params):
+    """The closed forms as unchecked kernels (gamma, drift) of full
+    coordinates xf, one point (n + 1,) or a stack (S, n + 1): Gamma
+    (..., n, n) and drift (..., n).  A @ xf[..., None] is one
+    matrix-vector product per point, so each point of a stack has the
+    bits it has alone."""
+    n, A, a = params.n, params.A, params.a
+    minus_A = -A[:n, :n]
+    A_a = A[:n] @ a  # sum_j A_ij a_j for i = 1..n
+    a, A = a[:n], A[:n]
+
+    def gamma(xf):
+        x = xf[..., :n]
+        row_sums = (A @ xf[..., None])[..., 0]  # sum_k A_ik x_k, i = 1..n
+        # (-A_ij x_i) x_j, multiplied in that order
+        G = minus_A * x[..., None]
+        G *= x[..., None, :]
+        G.reshape(*G.shape[:-2], n * n)[..., ::n + 1] += row_sums * x
+        return G
+
+    def drift(xf):
+        return -xf[..., :n] * A_a + a * (A @ xf[..., None])[..., 0]
+
+    return gamma, drift
+
+
+def _checked_full_coordinates(x):
+    xf = full_coordinates(x)
+    if (xf < -1e-12).any():
+        raise DomainError("point outside the simplex")
+    return xf
 
 
 def gamma_simplex(params, x):
-    xf = full_coordinates(x)
-    if (xf < -1e-12).any():
-        raise DomainError("point outside the simplex")
-    n = params.n
-    x = xf[:n]
-    row_sums = params.A[:n] @ xf  # sum_k A_ik x_k for i = 1..n
-    # (-A_ij x_i) x_j, multiplied in that order
-    G = params._minus_A * x[:, None]
-    G *= x
-    G.reshape(-1)[::n + 1] += row_sums * x
-    return G
+    return params._tables[0](_checked_full_coordinates(x))
 
 
 def drift_simplex(params, x):
-    xf = full_coordinates(x)
-    if (xf < -1e-12).any():
-        raise DomainError("point outside the simplex")
-    n = params.n
-    return -xf[:n] * params._A_a + params.a[:n] * (params.A[:n] @ xf)
+    return params._tables[1](_checked_full_coordinates(x))
+
+
+def _closed_form_scalar_model(params, margin=1e-12):
+    """The simplex model evaluating gamma_simplex and drift_simplex at
+    each call: what the calculus oracle checks."""
+    return DiffusionModel(params.n, lambda x: gamma_simplex(params, x),
+                          lambda x: drift_simplex(params, x),
+                          domain_test=lambda x: in_simplex(x, margin))
 
 
 def scalar_model(params, margin=1e-12):
-    return DiffusionModel(
-        params.n,
-        gamma=lambda x: gamma_simplex(params, x),
-        drift=lambda x: drift_simplex(params, x),
-        domain_test=lambda x: in_simplex(x, margin=margin))
+    """The simplex model, integrated through the quadratic coefficient
+    form of its closed forms (see calculus._coefficient_form), which
+    does not check the domain; the domain test admits the points at
+    least margin inside.  Raises ValueError for n = 0 or for a margin
+    that is negative or not finite."""
+    if params.n < 1:
+        raise ValueError("the scalar model needs n >= 1, got n = 0")
+    if not 0.0 <= margin < np.inf:
+        raise ValueError("margin must be non-negative and finite, got %r"
+                         % (margin,))
+    gamma, drift = _coefficient_form(
+        np.eye(params.n),
+        lambda X: np.concatenate([X, 1.0 - X.sum(axis=1, keepdims=True)], 1),
+        *params._tables)
+    return DiffusionModel(params.n, lambda x: gamma(x), lambda x: drift(x),
+                          domain_test=lambda x: in_simplex(x, margin))
 
 
 def dirichlet_log_density(a, x):

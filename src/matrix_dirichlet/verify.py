@@ -33,9 +33,9 @@ from .polar import (
 from .poly import MultiPoly, check_boundary_affine_exact
 from .realify import CplxLayout
 from .simplex import (
-    ScalarModelParams, dirichlet_grad_log, drift_simplex, gamma_simplex,
-    laguerre_ambient, ou_warped_ambient, sample_dirichlet, sample_sphere,
-    scalar_model, simplex_gamma_polys, sphere_ambient)
+    ScalarModelParams, _closed_form_scalar_model, dirichlet_grad_log,
+    drift_simplex, gamma_simplex, laguerre_ambient, ou_warped_ambient,
+    sample_dirichlet, sample_sphere, simplex_gamma_polys, sphere_ambient)
 from .sun import (
     Partition, SUNState, extract_Z, fields_image_entries, group_distance,
     image_params, lpq_field_list, sample_haar_extracted, sun_brownian_step,
@@ -372,7 +372,8 @@ def _suite_scalar(rng, samples):
     A2 = np.array([[0.0, 1.3, 0.6], [1.3, 0.0, 2.1], [0.6, 2.1, 0.0]])
     a2 = np.array([1.7, 0.9, 2.4])
     _reversibility_check(
-        checks, "scalar.reversibility", scalar_model(ScalarModelParams(A2, a2)),
+        checks, "scalar.reversibility",
+        _closed_form_scalar_model(ScalarModelParams(A2, a2)),
         lambda y: dirichlet_grad_log(a2, y),
         [sample_dirichlet(a2, rng, margin=5e-2) for _ in range(20)])
 

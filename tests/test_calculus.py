@@ -10,8 +10,8 @@ from matrix_dirichlet.polar import (
     complex_bm_ambient, polar_projection, sample_polar_frame)
 from matrix_dirichlet.realify import CplxLayout, simplex_layout
 from matrix_dirichlet.simplex import (
-    ScalarModelParams, sample_dirichlet, sample_sphere, scalar_model,
-    sphere_ambient)
+    ScalarModelParams, _closed_form_scalar_model, sample_dirichlet,
+    sample_sphere, scalar_model, sphere_ambient)
 from matrix_dirichlet.wishart import (
     sample_smz_frame, smz_projection, wishart_ambient)
 
@@ -125,7 +125,7 @@ def test_jacobian_second_order_convergence():
 
 def test_check_identity_negative_control(rng):
     params = ScalarModelParams(np.array([[0.0, 1.0], [1.0, 0.0]]), [2.0, 2.0])
-    model = scalar_model(params)
+    model = _closed_form_scalar_model(params)
     F = lambda x: x.copy()
 
     points = [sample_dirichlet(params.a, rng, margin=1e-3) for _ in range(5)]
@@ -181,7 +181,7 @@ def test_reversibility_jacobi():
 def test_boundary_affine_numeric_simplex(rng):
     A = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
     params = ScalarModelParams(A, [2.0, 2.0, 2.0])
-    model = scalar_model(params)
+    model = _closed_form_scalar_model(params)
 
     def sampler():
         return sample_dirichlet(params.a, rng, margin=5e-2)

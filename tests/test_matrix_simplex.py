@@ -702,6 +702,20 @@ def test_model2_rejects_another_n(form, rng):
         form(params, sample_interior(1, 2, rng))
 
 
+@pytest.mark.parametrize("form", [
+    lambda p: model2(p),
+    lambda p: model2(p, 0),
+    lambda p: params_to_json(p),
+], ids=["model2", "model2-n0", "json"])
+def test_model2_needs_a_free_block(form, rng):
+    # one exponent is no free block: the params themselves are allowed,
+    # as theorem_params of a one-block frame makes them
+    params = Model2Params(*model2_fixture(rng, 2), [2.0])
+    assert params.n == 0
+    with pytest.raises(ValueError, match="no free block"):
+        form(params)
+
+
 @pytest.mark.parametrize("n, d", [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3)])
 def test_model_closures_bitwise_equal_to_public_forms(n, d, rng):
     # the coefficient form is taken from the closed-form entry tables of

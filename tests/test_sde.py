@@ -13,7 +13,8 @@ from matrix_dirichlet.sde import (
     _CSV_BLOCK, SimConfig, _write_rows, diffusion_factor, em_step,
     jacobi_grad_log, jacobi_model, laguerre_grad_log, laguerre_model,
     ou_grad_log, ou_model, simulate, write_path_csv)
-from matrix_dirichlet.simplex import ScalarModelParams, scalar_model
+from matrix_dirichlet.simplex import (
+    ScalarModelParams, _closed_form_scalar_model, scalar_model)
 
 from test_simplex import (
     _drift_simplex_ref, _gamma_simplex_ref, _in_simplex_ref)
@@ -357,8 +358,13 @@ def test_scalar_simulate_bitwise_equal_to_reference_chain(weights, seed):
     # a coarse step from near a corner, so that some sub-steps are halved
     x0 = np.full(n, 0.02)
     dt, steps = 0.02, 400
-    s = simulate(scalar_model(params), x0,
-                 SimConfig(dt=dt, n_steps=steps, seed=seed), record=True)
+    config = SimConfig(dt=dt, n_steps=steps, seed=seed)
     ref, n_rej = _scalar_chain_ref(params, x0, dt, steps, seed)
+    # the closed forms give the reference chain's bits
+    s = simulate(_closed_form_scalar_model(params), x0, config, record=True)
     assert s.states.tobytes() == ref.tobytes()
     assert s.n_rejections == n_rej
+    # the integrated coefficient form agrees with it to roundoff
+    s = simulate(scalar_model(params), x0, config, record=True)
+    assert s.n_rejections == n_rej
+    assert np.max(np.abs(s.states - ref)) <= 1e-12

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,10 +10,13 @@ from matrix_dirichlet.calculus import (
     pushforward_generator, reversibility_residual)
 from matrix_dirichlet.errors import DomainError, OffSphereError
 from matrix_dirichlet.simplex import (
-    ScalarModelParams, dirichlet_grad_log, dirichlet_log_density,
-    drift_simplex, full_coordinates, gamma_simplex, in_simplex,
-    laguerre_ambient, ou_warped_ambient, sample_dirichlet, sample_sphere,
-    scalar_model, sphere_ambient)
+    ScalarModelParams, _closed_form_scalar_model, dirichlet_grad_log,
+    dirichlet_log_density, drift_simplex, full_coordinates, gamma_simplex,
+    in_simplex, laguerre_ambient, ou_warped_ambient, sample_dirichlet,
+    sample_sphere, scalar_model, sphere_ambient)
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src")
 
 
 def ones_params(n, a=None):
@@ -78,7 +85,7 @@ def test_reversibility(rng):
     n = 2
     A = np.array([[0.0, 1.3, 0.6], [1.3, 0.0, 2.1], [0.6, 2.1, 0.0]])
     a = np.array([1.7, 0.9, 2.4])
-    model = scalar_model(ScalarModelParams(A, a))
+    model = _closed_form_scalar_model(ScalarModelParams(A, a))
     for _ in range(20):
         x = sample_dirichlet(a, rng, margin=5e-2)
         res = reversibility_residual(model, lambda y: dirichlet_grad_log(a, y), x)
@@ -355,6 +362,76 @@ def test_closed_forms_bitwise_equal_on_any_floats(x, seed):
         _assert_same_as_reference(_random_params(gen, x.size), x)
 
 
+def test_in_simplex_of_no_coordinates(rng):
+    # n = 0: the simplex is the point x_{n+1} = 1
+    for margin in (0.0, 1e-12, 0.5, 1.0, 1.5, np.inf, np.nan):
+        assert in_simplex(np.array([]), margin) is _in_simplex_ref(
+            np.array([]), margin)
+    assert sample_dirichlet([2.0], rng).shape == (0,)
+
+
 def test_full_coordinates_flattens_like_append():
     x = np.array([[0.25], [0.5]])
     assert full_coordinates(x).tobytes() == _full_coordinates_ref(x).tobytes()
+
+
+# -- quadratic coefficient form -----------------------------------------------
+
+@pytest.mark.parametrize("weights", ["unit", "random"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_scalar_coefficient_form_matches_closed_forms(n, weights, rng):
+    if weights == "unit":
+        A = np.ones((n + 1, n + 1)) - np.eye(n + 1)
+    else:
+        A = rng.uniform(0.2, 3.0, (n + 1, n + 1))
+        A = A + A.T
+        np.fill_diagonal(A, 0.0)
+    params = ScalarModelParams(A, rng.uniform(0.3, 4.0, n + 1))
+    model = scalar_model(params)
+    points = [sample_dirichlet(params.a, rng) for _ in range(20)]
+    # relative to each form's largest value over the points: at n = 1 the
+    # drift vanishes inside the simplex, where no pointwise ratio is small
+    for got, want in (([model.gamma(x) for x in points],
+                       [gamma_simplex(params, x) for x in points]),
+                      ([model.drift(x) for x in points],
+                       [drift_simplex(params, x) for x in points])):
+        got, want = np.array(got), np.array(want)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    for x in points:
+        G = model.gamma(x)
+        assert G.tobytes() == G.T.tobytes()
+    # the stacked kernels the coefficients are taken from, point by point
+    stack = np.array([full_coordinates(x) for x in points])
+    for table, form in zip(params._tables, (gamma_simplex, drift_simplex)):
+        values = table(stack)
+        for s, x in enumerate(points):
+            assert values[s].tobytes() == form(params, x).tobytes()
+
+
+@pytest.mark.parametrize("margin", [-1e-12, -0.5, np.nan, np.inf, -np.inf])
+def test_scalar_model_rejects_bad_margin(margin):
+    # the coefficient form does not check the domain, so the domain test
+    # alone keeps a path inside the simplex
+    with pytest.raises(ValueError, match="margin"):
+        scalar_model(ones_params(2), margin=margin)
+
+
+def test_scalar_model_needs_a_free_coordinate():
+    params = ScalarModelParams(np.zeros((1, 1)), [2.0])
+    assert params.n == 0
+    with pytest.raises(ValueError, match="n = 0"):
+        scalar_model(params)
+
+
+def test_scalar_modules_load_no_matrix_code():
+    # the scalar integration path imports no matrix-model module
+    code = ("import sys, matrix_dirichlet.sde, matrix_dirichlet.simplex; "
+            "print(*sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=SRC)).stdout
+    loaded = {m.split(".", 1)[1] for m in out.split()
+              if m.startswith("matrix_dirichlet.")}
+    assert "sde" in loaded and "simplex" in loaded
+    assert not loaded & {"matrix_simplex", "realify", "linalg"}
