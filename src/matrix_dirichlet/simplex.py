@@ -109,24 +109,25 @@ def drift_simplex(params, x):
     return params._tables[1](_checked_full_coordinates(x))
 
 
-def _closed_form_scalar_model(params, margin=1e-12):
+def _closed_form_scalar_model(params):
     """The simplex model evaluating gamma_simplex and drift_simplex at
     each call: what the calculus oracle checks."""
     return DiffusionModel(params.n, lambda x: gamma_simplex(params, x),
                           lambda x: drift_simplex(params, x),
-                          domain_test=lambda x: in_simplex(x, margin))
+                          domain_test=lambda x: in_simplex(x, 1e-12))
 
 
 def scalar_model(params, margin=1e-12):
     """The simplex model, integrated through the quadratic coefficient
     form of its closed forms (see calculus._coefficient_form), which
     does not check the domain; the domain test admits the points at
-    least margin inside.  Raises ValueError for n = 0 or for a margin
-    that is negative or not finite."""
+    least margin inside.  The form's error is roundoff of |A|, and Gamma
+    vanishes at a vertex: margin must be at least 1e-12 (at 1e-16,
+    Gamma can come out indefinite).  Raises ValueError for n = 0."""
     if params.n < 1:
         raise ValueError("the scalar model needs n >= 1, got n = 0")
-    if not 0.0 <= margin < np.inf:
-        raise ValueError("margin must be non-negative and finite, got %r"
+    if not 1e-12 <= margin < np.inf:
+        raise ValueError("margin must be finite and at least 1e-12, got %r"
                          % (margin,))
     gamma, drift = _coefficient_form(
         np.eye(params.n),

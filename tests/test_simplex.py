@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from matrix_dirichlet.calculus import (
     pushforward_generator, reversibility_residual)
 from matrix_dirichlet.errors import DomainError, OffSphereError
+from matrix_dirichlet.sde import diffusion_factor
 from matrix_dirichlet.simplex import (
     ScalarModelParams, _closed_form_scalar_model, dirichlet_grad_log,
     dirichlet_log_density, drift_simplex, full_coordinates, gamma_simplex,
@@ -377,16 +378,20 @@ def test_full_coordinates_flattens_like_append():
 
 # -- quadratic coefficient form -----------------------------------------------
 
-@pytest.mark.parametrize("weights", ["unit", "random"])
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_scalar_coefficient_form_matches_closed_forms(n, weights, rng):
+def _coefficient_case(n, weights, rng):
     if weights == "unit":
         A = np.ones((n + 1, n + 1)) - np.eye(n + 1)
     else:
         A = rng.uniform(0.2, 3.0, (n + 1, n + 1))
         A = A + A.T
         np.fill_diagonal(A, 0.0)
-    params = ScalarModelParams(A, rng.uniform(0.3, 4.0, n + 1))
+    return ScalarModelParams(A, rng.uniform(0.3, 4.0, n + 1))
+
+
+@pytest.mark.parametrize("weights", ["unit", "random"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_scalar_coefficient_form_matches_closed_forms(n, weights, rng):
+    params = _coefficient_case(n, weights, rng)
     model = scalar_model(params)
     points = [sample_dirichlet(params.a, rng) for _ in range(20)]
     # relative to each form's largest value over the points: at n = 1 the
@@ -409,10 +414,41 @@ def test_scalar_coefficient_form_matches_closed_forms(n, weights, rng):
             assert values[s].tobytes() == form(params, x).tobytes()
 
 
-@pytest.mark.parametrize("margin", [-1e-12, -0.5, np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("weights", ["unit", "random"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_scalar_coefficient_form_near_the_boundary(n, weights, rng):
+    # Gamma vanishes at a vertex, but the coefficient form's error is
+    # roundoff of |A|: at the smallest margin it must still factor, and
+    # stay within roundoff of the closed forms, near every vertex and
+    # every face (x_{n+1} = 0 too)
+    params = _coefficient_case(n, weights, rng)
+    model = scalar_model(params, margin=1e-12)
+    A, a = params.A, params.a
+    for v in range(n + 1):
+        near = 1e-12 * rng.uniform(1.5, 2.0, n + 1)
+        vertex = near.copy()
+        vertex[v] = 0.0
+        vertex[v] = 1.0 - vertex.sum()
+        face = rng.dirichlet(np.ones(n + 1))
+        face[v] = 0.0
+        face *= (1.0 - near[v]) / face.sum()
+        face[v] = near[v]
+        for x in (vertex[:n], face[:n]):
+            assert model.domain_test(x)
+            G = model.gamma(x)
+            diffusion_factor(G)
+            assert np.max(np.abs(G - gamma_simplex(params, x))) <= (
+                1e-15 * A.max())
+            assert np.max(np.abs(model.drift(x) - drift_simplex(params, x))
+                          ) <= 1e-14 * A.max() * a.max()
+
+
+@pytest.mark.parametrize("margin", [0.0, 1e-13, -1e-12, -0.5, np.nan, np.inf,
+                                    -np.inf])
 def test_scalar_model_rejects_bad_margin(margin):
     # the coefficient form does not check the domain, so the domain test
-    # alone keeps a path inside the simplex
+    # alone keeps a path inside the simplex, and at least 1e-12 inside,
+    # where its roundoff cannot make Gamma indefinite
     with pytest.raises(ValueError, match="margin"):
         scalar_model(ones_params(2), margin=margin)
 
