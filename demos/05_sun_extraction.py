@@ -9,10 +9,11 @@ Wishart-ratio sampler.
 
 import numpy as np
 
-from matrix_dirichlet.matrix_simplex import point_to_real
+from matrix_dirichlet.linalg import _chunk_sizes, _haar_draws
+from matrix_dirichlet.matrix_simplex import point_to_real, simplex_layout
 from matrix_dirichlet.sun import (
-    Partition, SUNState, extract_Z, group_distance, image_params,
-    sample_haar_extracted, sun_brownian_step, verify_casimir_image)
+    Partition, SUNState, _brownian_path, _extract_blocks, extract_Z,
+    group_distance, image_params, sun_brownian_step, verify_casimir_image)
 from matrix_dirichlet.wishart import sample_matrix_dirichlet_direct
 
 rng = np.random.Generator(np.random.Philox(55))
@@ -25,20 +26,25 @@ print("Casimir image (N=4, d=2, sizes 2+2):", report)
 print("image exponents a =", image_params(part).a)
 
 # Brownian motion on the group via exact exponential steps: unitarity
-# is preserved to machine precision
+# is preserved to machine precision. One step at a time, or K steps from
+# one kernel call (the same state, bit for bit)
 state = SUNState(np.eye(3, dtype=complex))
-for _ in range(5000):
+for _ in range(1000):
     state = sun_brownian_step(state, 1e-3, rng)
+for K in _chunk_sizes(4000):
+    state = SUNState(_brownian_path(state.u, 1e-3, rng, K))
 print("\ngroup drift after 5000 steps: %.2e" % group_distance(state.u))
 print("extracted Z after the walk:")
 print(np.round(extract_Z(state, Partition(1, [2, 1])).Z[0], 4))
 
 # Haar-extracted draws match the direct sampler (both are matrix
-# Dirichlet with a_i = d_i - d + 1)
+# Dirichlet with a_i = d_i - d + 1); the Haar unitaries and their blocks
+# are drawn and extracted up to 512 at a time
 part = Partition(2, [3, 3])
+layout = simplex_layout(part.n, part.d)
 M = 5000
-haar = np.array([point_to_real(sample_haar_extracted(6, part, rng))
-                 for _ in range(M)])
+haar = np.array([layout.to_real(Z) for K in _chunk_sizes(M)
+                 for Z in _extract_blocks(_haar_draws(6, rng, K, True), part)])
 direct = np.array([point_to_real(sample_matrix_dirichlet_direct(2, [3, 3],
                                                                 rng))
                    for _ in range(M)])

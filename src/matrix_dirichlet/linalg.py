@@ -7,6 +7,7 @@ eigenvector matrix well defined (away from spectral collisions).
 """
 
 import functools
+import math
 
 import numpy as np
 from scipy.linalg.lapack import zgeqrf, zungqr
@@ -122,19 +123,47 @@ def _qr_lwork(N):
     return int(work[0].real), int(zungqr(qr, tau, lwork=-1)[1][0].real)
 
 
+def _chunk_sizes(K):
+    """Sizes of consecutive kernel calls of at most 512 draws that make up
+    K draws; the cap bounds the stacks' memory, and the calls read the
+    stream in draw order."""
+    return [min(512, K - start) for start in range(0, K, 512)]
+
+
+def _haar_draws(N, rng, K, special=False):
+    """K Haar unitaries as one (K, N, N) stack of Fortran-ordered matrices,
+    with the bits and the Philox stream of K haar_unitary calls.
+
+    One normal draw, one zgeqrf/zungqr pair per draw in place in the stack,
+    and the phase fix and determinants on the whole stack. The determinant
+    phase is one scalar exp and product per draw: the array exp changes the
+    bits of some draws, and so does an in-place product at N = 1."""
+    g = rng.standard_normal((K, 2, N, N))
+    q = np.empty((K, N, N), dtype=complex).transpose(0, 2, 1)
+    np.add(g[:, 0], 1j * g[:, 1], out=q)
+    q /= math.sqrt(2.0)
+    lwork_qr, lwork_q = _qr_lwork(N)
+    diag = np.empty((K, 1, N), dtype=complex)
+    for k in range(K):
+        # q[k] is Fortran-ordered, so zgeqrf and zungqr overwrite it in
+        # place; positional (a, lwork, overwrite_a): f2py parses keywords
+        # slowly
+        qr, tau = zgeqrf(q[k], lwork_qr, 1)[:2]
+        diag[k, 0] = qr.diagonal()
+        zungqr(qr, tau, lwork_q, 1)
+    q = q * (diag / np.abs(diag))
+    if special:
+        for k, det in enumerate(np.linalg.det(q)):
+            # np.angle(det), without its Python overhead
+            q[k] = q[k] * np.exp(-1j * np.arctan2(det.imag, det.real) / N)
+    return q
+
+
 def haar_unitary(N, rng, special=False):
     """Haar-distributed unitary via QR of a Ginibre matrix (Mezzadri,
     Notices AMS 2007): Q with each column rotated by the phase of R's
     diagonal entry, and with special=True also scaled to determinant 1.
     LAPACK zgeqrf/zungqr are called directly with their optimal
-    workspace."""
-    z = (rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N)))
-    z /= np.sqrt(2.0)
-    lwork_qr, lwork_q = _qr_lwork(N)
-    qr, tau = zgeqrf(z, lwork=lwork_qr, overwrite_a=1)[:2]
-    diag = qr.diagonal().copy()  # zungqr overwrites qr with Q
-    q = zungqr(qr, tau, lwork=lwork_q, overwrite_a=1)[0]
-    q = q * (diag / np.abs(diag))
-    if special:
-        q = q * np.exp(-1j * np.angle(np.linalg.det(q)) / N)
-    return q
+    workspace. The one-draw view of _haar_draws, copied so that a kept
+    draw does not hold the stack."""
+    return _haar_draws(N, rng, 1, special)[0].copy(order="F")

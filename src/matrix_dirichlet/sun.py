@@ -21,13 +21,14 @@ A_pq = 1/(2N) (resp. the given weights) and a_i = d_i - d + 1.
 
 import functools
 import itertools
+import math
 
 import numpy as np
 from scipy.linalg import expm
 
 from .calculus import DiffusionModel, check_identity
 from .errors import OffGroupError
-from .linalg import _hermitize, haar_unitary
+from .linalg import _chunk_sizes, _haar_draws, _hermitize
 from .matrix_simplex import (
     MatrixSimplexPoint, Model1Params, drift_model1, gamma_model1,
     simplex_layout)
@@ -251,20 +252,24 @@ def _scatter_pair(base, i, j, partition):
     return out
 
 
-def extract_Z(state, partition):
-    u = state.u if isinstance(state, SUNState) else np.asarray(state)
+def _extract_blocks(U, partition):
+    """Free blocks Z^(p) = W^(p) W^(p)* of a stack of unitaries (K, N, N),
+    as one (K, n, d, d) stack; W^(p) = u[:d, I_p] is a slice, since the
+    column groups are contiguous."""
     d = partition.d
-    Z = np.empty((partition.n, d, d), dtype=complex)
+    Z = np.empty((len(U), partition.n, d, d), dtype=complex)
     for p, cols in enumerate(partition.sets[:-1]):
-        W = u[:d, cols]
-        Z[p] = W @ W.conj().T
-    return MatrixSimplexPoint(_hermitize(Z), check=False)
+        W = U[:, :d, cols[0]:cols[-1] + 1]
+        np.matmul(W, W.conj().swapaxes(-1, -2), out=Z[:, p])
+    return _hermitize(Z)
 
 
-def extract_Z_all(u, partition):
-    """All n+1 blocks by direct multiplication (for cross-checks)."""
-    d = partition.d
-    return [u[:d, cols] @ u[:d, cols].conj().T for cols in partition.sets]
+def extract_Z(state, partition):
+    """The free blocks of one unitary as a point; the one-draw view of
+    _extract_blocks, copied so that a kept point does not hold the stack."""
+    u = state.u if isinstance(state, SUNState) else np.asarray(state)
+    return MatrixSimplexPoint(_extract_blocks(u[None], partition)[0].copy(),
+                              check=False)
 
 
 def extraction_map(partition):
@@ -341,30 +346,39 @@ def verify_casimir_image(N, partition, rng, n_samples=50,
         point = extract_Z(ulay.from_real(x), partition)
         return gamma_model1(params, point), drift_model1(params, point)
 
-    points = [ulay.to_real(haar_unitary(N, rng, special=True))
-              for _ in range(n_samples)]
+    points = [ulay.to_real(u) for K in _chunk_sizes(n_samples)
+              for u in _haar_draws(N, rng, K, special=True)]
     return check_identity(ambient, F, closed, points, tol_g, tol_l,
                           name="sun-extraction")
 
 
 # -- simulation ---------------------------------------------------------------
 
-def sun_brownian_step(state, dt, rng):
-    """One exact-group Euler step u' = u exp(sqrt(dt) xi).
+def _brownian_path(u, dt, rng, K):
+    """The state after K exact-group Euler steps u' = u exp(sqrt(dt) xi)
+    from u.
 
     xi is Gaussian in the traceless skew-Hermitian algebra with per-pair
     standard deviations 1/sqrt(2N) on the R and S directions and 1/N on the
     D direction, which reproduces the one-step entry covariance 2 Gamma dt
-    of the group Laplacian (no-1/2 generator convention).
+    of the group Laplacian (no-1/2 generator convention). The K elements
+    come from one normal draw and one stacked expm; the products run in
+    order, so the state is that of K single steps, bit for bit. dt = 0
+    draws nothing and returns u.
     """
-    u = state.u if isinstance(state, SUNState) else np.asarray(state)
     if dt == 0.0:
-        return SUNState(u, check=False)
+        return u
     E, sd = _step_basis(u.shape[0])
-    coef = sd * rng.standard_normal(len(sd))
-    xi = (coef[:, None, None] * E).sum(axis=0)
-    return SUNState(u @ expm(np.sqrt(dt) * xi), check=False)
+    # sd[None] and add.reduce for the sum: the cheapest calls at K = 1
+    coef = sd[None] * rng.standard_normal((K, len(sd)))
+    xi = np.add.reduce(coef[:, :, None, None] * E, axis=1)
+    steps = expm(math.sqrt(dt) * xi)
+    for k in range(K):  # indexing, not iterating: cheaper at K = 1
+        u = u @ steps[k]
+    return u
 
 
-def sample_haar_extracted(N, partition, rng):
-    return extract_Z(haar_unitary(N, rng, special=True), partition)
+def sun_brownian_step(state, dt, rng):
+    """One exact-group Euler step; the one-step view of _brownian_path."""
+    u = state.u if isinstance(state, SUNState) else np.asarray(state)
+    return SUNState(_brownian_path(u, dt, rng, 1), check=False)

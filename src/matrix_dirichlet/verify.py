@@ -18,7 +18,7 @@ import numpy as np
 
 from .calculus import (
     check_identity, pushforward_generator, reversibility_residual)
-from .linalg import haar_unitary
+from .linalg import _chunk_sizes, _haar_draws
 from .matrix_simplex import (
     MatrixSimplexPoint, Model1Params, Model2Params, _closed_form_model,
     _ginibre_squares, drift_model1_entries, drift_model2_entries,
@@ -37,8 +37,8 @@ from .simplex import (
     drift_simplex, gamma_simplex, laguerre_ambient, ou_warped_ambient,
     sample_dirichlet, sample_sphere, simplex_gamma_polys, sphere_ambient)
 from .sun import (
-    Partition, SUNState, extract_Z, fields_image_entries, group_distance,
-    image_params, lpq_field_list, sample_haar_extracted, sun_brownian_step,
+    Partition, _brownian_path, _extract_blocks, extract_Z,
+    fields_image_entries, group_distance, image_params, lpq_field_list,
     verify_casimir_image)
 from .wishart import (
     closed_form_smz_system, matrix_ou_ambient, sample_smz_frame,
@@ -499,27 +499,26 @@ def _suite_sun(rng, samples):
     params = image_params(part, A)
     fields = lpq_field_list(part, A)
     res = 0.0
-    for _ in range(max(ns, 5)):
-        u = haar_unitary(part.N, rng, special=True)
-        T, L = fields_image_entries(u, part, fields)
-        point = extract_Z(u, part)
-        res = float(np.max([
-            res, np.max(np.abs(T - gamma_model1_entries(params, point))),
-            np.max(np.abs(L - drift_model1_entries(params, point)))]))
+    for K in _chunk_sizes(max(ns, 5)):
+        for u in _haar_draws(part.N, rng, K, special=True):
+            T, L = fields_image_entries(u, part, fields)
+            point = extract_Z(u, part)
+            res = float(np.max([
+                res, np.max(np.abs(T - gamma_model1_entries(params, point))),
+                np.max(np.abs(L - drift_model1_entries(params, point)))]))
     _check(checks, "sun.lpq_exact_image", res, 1e-10, max(ns, 5))
     # the exact group step stays on the group
-    state = SUNState(np.eye(3, dtype=complex))
+    u = np.eye(3, dtype=complex)
     n_steps = 2000
-    for _ in range(n_steps):
-        state = sun_brownian_step(state, 1e-3, rng)
-    _check(checks, "sun.brownian_unitarity", group_distance(state.u),
-           1e-9, n_steps)
+    for K in _chunk_sizes(n_steps):
+        u = _brownian_path(u, 1e-3, rng, K)
+    _check(checks, "sun.brownian_unitarity", group_distance(u), 1e-9, n_steps)
     # first moment of the Haar image: E[Z^(1)] = (d_1/N) Id
     part = Partition(2, [2, 2])
     M = 2000
-    vals = np.empty(M)
-    for m in range(M):
-        vals[m] = sample_haar_extracted(4, part, rng).Z[0][0, 0].real
+    vals = np.concatenate([
+        _extract_blocks(_haar_draws(4, rng, K, special=True), part)[:, 0, 0, 0]
+        for K in _chunk_sizes(M)]).real
     se = np.std(vals) / np.sqrt(M)
     rep = moment_test(np.mean(vals), se, 0.5, 1e-12)
     _check(checks, "sun.haar_first_moment", rep["max_abs_z"], 3.0, M)

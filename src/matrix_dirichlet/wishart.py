@@ -26,8 +26,6 @@ from .matrix_simplex import (  # noqa: F401 (the direct sampler is re-exported)
     MatrixSimplexPoint, Model2Params, _ginibre_squares, log_gamma_d,
     sample_matrix_dirichlet_direct, simplex_layout)
 from .realify import CoordStack, CplxLayout, HermLayout, RealLayout
-# the former name of simplex_layout, which the acceptance tests still import
-from .realify import simplex_layout as wishart_layout  # noqa: F401
 
 
 class WishartFamily:

@@ -23,17 +23,17 @@ from matrix_dirichlet.simplex import (
     ScalarModelParams, dirichlet_grad_log, sample_dirichlet, scalar_model,
     simplex_gamma_polys)
 from matrix_dirichlet.sun import (
-    Partition, SUNState, extract_Z, group_distance, lemma_first_action,
-    lemma_second_action, casimir_fields_apply, casimir_field_list,
-    sun_brownian_step, verify_casimir_image)
+    Partition, _brownian_path, _extract_blocks, group_distance,
+    lemma_first_action, lemma_second_action, casimir_fields_apply,
+    casimir_field_list, verify_casimir_image)
 from matrix_dirichlet.verify import (
     boundary_residual_model1, boundary_residual_model2,
     check_frame_identities, check_polar_identities, moment_test, run_suite)
 from matrix_dirichlet.wishart import (
     closed_form_smz_system, sample_matrix_dirichlet_direct,
     sample_smz_frame, sample_wishart_family, theorem_params,
-    wishart_ambient, wishart_grad_log, wishart_layout)
-from matrix_dirichlet.linalg import haar_unitary
+    wishart_ambient, wishart_grad_log)
+from matrix_dirichlet.linalg import _chunk_sizes, _haar_draws, haar_unitary
 
 
 def _report(num, desc, ok):
@@ -51,6 +51,17 @@ def _direct_rows(M, rng):
     sample_matrix_dirichlet_direct calls."""
     Z = _direct_draws(2, [3, 3], rng, M)
     return Z.view(float).reshape(M, -1)[:, simplex_layout(1, 2)._take]
+
+
+def _haar_rows(M, rng, part):
+    """M Haar SU(6) draws extracted at the partition, as rows of real
+    coordinates, from kernel calls of at most 512 draws: the same numbers,
+    in the same C-ordered (M, 4) array, as M sequential haar_unitary and
+    extract_Z calls."""
+    return np.concatenate([
+        _extract_blocks(_haar_draws(6, rng, K, special=True), part)
+        .view(float).reshape(K, -1).take(simplex_layout(1, 2)._take, axis=1)
+        for K in _chunk_sizes(M)])
 
 
 # -- 1. chain-rule identity suites --------------------------------------------
@@ -122,7 +133,7 @@ def test_criterion_2_reversibility():
     m2 = model2(Model2Params(A2, B2, am), n)
     dims = [3.0, 3.0]
     wm = wishart_ambient(d, dims)
-    wlay = wishart_layout(2, d)
+    wlay = simplex_layout(2, d)
     for _ in range(20):
         bump(sm, lambda y: dirichlet_grad_log(a, y),
              sample_dirichlet(a, rng, margin=5e-2))
@@ -293,10 +304,7 @@ def test_criterion_6_haar_image():
     rng = _rng(6)
     part = Partition(2, [3, 3])
     M = 100000
-    ext = np.empty((M, 4))
-    for m in range(M):
-        u = haar_unitary(6, rng, special=True)
-        ext[m] = point_to_real(extract_Z(u, part))
+    ext = _haar_rows(M, rng, part)
     direct = _direct_rows(M, rng)
     z1 = moment_test(ext.mean(axis=0), ext.std(axis=0) / np.sqrt(M),
                      direct.mean(axis=0),
@@ -326,11 +334,11 @@ def test_criterion_7_structural():
             ok = ok and np.max(np.abs(Z - Z.conj().T)) < 1e-12
             ok = ok and np.min(np.linalg.eigvalsh(Z)) > -1e-10
 
-    # unitarity after 1e5 exact group steps
-    state = SUNState(np.eye(3, dtype=complex))
-    for _ in range(100000):
-        state = sun_brownian_step(state, 1e-3, rng)
-    drift = group_distance(state.u)
+    # unitarity after 1e5 exact group steps, in kernel calls of at most 512
+    u = np.eye(3, dtype=complex)
+    for K in _chunk_sizes(100000):
+        u = _brownian_path(u, 1e-3, rng, K)
+    drift = group_distance(u)
     ok = ok and drift < 1e-9
 
     # Sylvester spectrum identity

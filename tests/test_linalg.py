@@ -4,7 +4,8 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from matrix_dirichlet.errors import NotPsdError, SpectralGapError
-from matrix_dirichlet.linalg import haar_unitary, hermitian_eigen, sqrtm_psd
+from matrix_dirichlet.linalg import (
+    _chunk_sizes, _haar_draws, haar_unitary, hermitian_eigen, sqrtm_psd)
 
 from conftest import random_hermitian, random_hermitian_psd
 
@@ -161,3 +162,46 @@ def test_haar_unitary_bitwise_equal_to_scipy_qr(N, special):
         assert np.ascontiguousarray(u).tobytes() == \
             np.ascontiguousarray(ref).tobytes()
     assert rngs[0].standard_normal() == rngs[1].standard_normal()
+
+
+@pytest.mark.parametrize("special", [False, True])
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6])
+def test_haar_draws_bitwise_equal_to_single_draws(N, special):
+    # one stacked call reads the stream as K single draws do and gives the
+    # same matrices, bit for bit and in the same Fortran layout, as single
+    # draws and as the scipy.linalg.qr reference
+    K = 300
+    rngs = [np.random.Generator(np.random.Philox(100 + N)) for _ in range(3)]
+    U = _haar_draws(N, rngs[0], K, special)
+    assert U.shape == (K, N, N)
+    for k in range(K):
+        single = haar_unitary(N, rngs[1], special)
+        ref = _qr_haar(N, rngs[2], special)
+        assert U[k].flags.f_contiguous and single.flags.f_contiguous
+        assert single.base is None  # a kept draw does not hold its stack
+        assert U[k].tobytes(order="F") == single.tobytes(order="F")
+        assert U[k].tobytes(order="F") == ref.tobytes(order="F")
+    assert len({r.standard_normal() for r in rngs}) == 1
+
+
+@pytest.mark.parametrize("special", [False, True])
+@pytest.mark.parametrize("N", [1, 4, 6])
+def test_haar_draws_chunked_equal_to_one_call(N, special):
+    # chunks of any sizes read the stream in draw order: concatenated, they
+    # are one call's stack bit for bit
+    K = 1100
+    one = _haar_draws(N, np.random.Generator(np.random.Philox(N)), K,
+                      special)
+    for sizes in (_chunk_sizes(K), [1, 6, 500, 1, 592], [1] * K):
+        assert sum(sizes) == K
+        rng = np.random.Generator(np.random.Philox(N))
+        chunks = np.concatenate([_haar_draws(N, rng, k, special)
+                                 for k in sizes])
+        assert chunks.tobytes() == one.tobytes()
+
+
+def test_chunk_sizes():
+    assert _chunk_sizes(2000) == [512, 512, 512, 464]
+    assert _chunk_sizes(512) == [512]
+    assert _chunk_sizes(5) == [5]
+    assert _chunk_sizes(0) == []

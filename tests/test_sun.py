@@ -4,15 +4,22 @@ from scipy.linalg import expm
 
 from matrix_dirichlet.calculus import check_identity
 from matrix_dirichlet.errors import OffGroupError
-from matrix_dirichlet.linalg import haar_unitary
+from matrix_dirichlet.linalg import _haar_draws, _hermitize, haar_unitary
 from matrix_dirichlet.matrix_simplex import (
     drift_model1, drift_model1_entries, gamma_model1, gamma_model1_entries)
 from matrix_dirichlet.sun import (
-    Partition, SUNState, _step_basis, algebra_element, casimir_field_list,
-    casimir_fields_apply, extract_Z, extract_Z_all, extraction_map,
-    fields_image_entries, image_params, lemma_first_action,
+    Partition, SUNState, _brownian_path, _extract_blocks, _step_basis,
+    algebra_element, casimir_field_list, casimir_fields_apply, extract_Z,
+    extraction_map, fields_image_entries, image_params, lemma_first_action,
     lemma_second_action, lpq_field_list, lpq_weighted_model, sun_ambient,
     sun_brownian_step, sun_layout, verify_casimir_image)
+
+
+def extract_Z_all(u, partition):
+    """All n+1 blocks by direct multiplication, one column group at a time:
+    the loop reference of the stacked extraction."""
+    d = partition.d
+    return [u[:d, cols] @ u[:d, cols].conj().T for cols in partition.sets]
 
 
 def test_sun_ambient_hand_values():
@@ -265,6 +272,58 @@ def _triple_loop_step(u, dt, rng):
             xi += sRS * g2 * algebra_element("S", i, j, N)
             xi += sD * g3 * algebra_element("D", i, j, N)
     return u @ expm(np.sqrt(dt) * xi)
+
+
+@pytest.mark.parametrize("d, sizes", [(1, [2, 2, 1]), (3, [3, 3]),
+                                      (2, [3, 1, 4, 2]), (1, [1, 1])])
+def test_extract_blocks_bitwise_equal_to_loop(rng, d, sizes):
+    # the stacked extraction takes each column group as a slice; it equals
+    # the loop over fancy-indexed groups bit for bit, for Haar draws in
+    # their Fortran layout, for C-ordered copies, and through extract_Z
+    part = Partition(d, sizes)
+    U = _haar_draws(part.N, rng, 60, special=True)
+    for stack in (U, np.ascontiguousarray(U)):
+        Z = _extract_blocks(stack, part)
+        assert Z.shape == (60, part.n, d, d)
+        for k, u in enumerate(stack):
+            ref = _hermitize(np.array(extract_Z_all(u, part)[:-1]))
+            assert Z[k].tobytes() == ref.tobytes()
+            point = extract_Z(u, part)
+            assert point.Z.tobytes() == ref.tobytes()
+            assert point.Z.base is None
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_brownian_path_bitwise_equal_to_single_steps(rng, N):
+    # K steps from one call, or in chunks, end at the state of K single
+    # steps and of the triple-loop reference bit for bit, and read the
+    # stream as they do; from Id and from a Haar point
+    for u0 in (np.eye(N, dtype=complex), haar_unitary(N, rng, special=True)):
+        for K in (1, 2, 7, 300):
+            seed = int(rng.integers(2**31))
+            rngs = [np.random.Generator(np.random.Philox(seed))
+                    for _ in range(4)]
+            end = _brownian_path(u0, 1e-3, rngs[0], K)
+            u = u0
+            for k in (K // 3, K - K // 3):
+                u = _brownian_path(u, 1e-3, rngs[1], k)
+            state, ref = SUNState(u0), u0
+            for _ in range(K):
+                state = sun_brownian_step(state, 1e-3, rngs[2])
+                ref = _triple_loop_step(ref, 1e-3, rngs[3])
+            assert end.shape == (N, N)
+            assert end.tobytes() == u.tobytes() == state.u.tobytes() == \
+                ref.tobytes()
+            assert len({r.standard_normal() for r in rngs}) == 1
+
+
+def test_brownian_path_dt_zero_draws_nothing(rng):
+    u0 = haar_unitary(3, rng, special=True)
+    fresh = np.random.Generator(np.random.Philox(7))
+    assert _brownian_path(u0, 0.0, fresh, 5).tobytes() == u0.tobytes()
+    assert sun_brownian_step(u0, 0.0, fresh).u.tobytes() == u0.tobytes()
+    assert fresh.standard_normal() == \
+        np.random.Generator(np.random.Philox(7)).standard_normal()
 
 
 @pytest.mark.parametrize("N", [2, 3, 4])
