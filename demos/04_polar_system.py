@@ -29,7 +29,7 @@ print("reconstruction |V N - m|: %.2e"
 # pushforward of flat complex Brownian motion through the polar map
 ambient = complex_bm_ambient(d)
 F, stack = polar_projection(d, base_frame=fr)
-lay = CplxLayout(d * d, shape=(d, d))
+lay = CplxLayout((d, d))
 x = lay.to_real(m)
 G, L = pushforward_generator(ambient, F, x)
 sys = closed_form_polar_system(fr)

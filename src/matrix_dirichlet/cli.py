@@ -139,8 +139,7 @@ def _write_draws(path, d, dims, count, seed):
         csv.writer(fh).writerow(layout.coordinate_names())
         for start in range(0, count, _SAMPLE_CHUNK):
             Z = _direct_draws(d, dims, rng, min(_SAMPLE_CHUNK, count - start))
-            rows = Z.view(float).reshape(len(Z), -1)[:, layout._take]
-            _write_rows(fh, rows)
+            _write_rows(fh, layout.to_real(Z))
 
 
 def _int_at_least(minimum):
@@ -179,7 +178,9 @@ def build_parser():
     p.add_argument("--suite", required=True, choices=SUITE_NAMES)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--samples", type=_positive_int, default=None,
-                   help="points/frames per identity (default per suite)")
+                   help="points or frames of each identity check (default "
+                        "per suite); the Monte Carlo checks keep their own "
+                        "draw counts")
     p.add_argument("--out", default=None, help="write the JSON report here")
 
     p = sub.add_parser("simulate", help="integrate a matrix model")

@@ -88,8 +88,8 @@ def point_to_real(point):
     return simplex_layout(point.n, point.d).to_real(point.Z)
 
 
-def real_to_point(x, n, d, check=False):
-    return MatrixSimplexPoint(simplex_layout(n, d).from_real(x), check=check)
+def real_to_point(x, n, d):
+    return MatrixSimplexPoint(simplex_layout(n, d).from_real(x), check=False)
 
 
 @functools.cache
@@ -468,10 +468,15 @@ def _closed_form_model(params, d):
     """Model I or II at block size d evaluating its closed forms at each
     call, with the bits of gamma_model1, drift_model1 (or gamma_model2,
     drift_model2) and the parameter tables built once; the coefficient
-    form that model1 and model2 integrate is taken from the same kernels."""
-    gamma_table, drift_table = (
-        _model1_tables(params, d) if isinstance(params, Model1Params)
-        else _model2_tables(params))
+    form that model1 and model2 integrate is taken from the same kernels.
+    Model II fixes its block size: d must equal params.d."""
+    if isinstance(params, Model1Params):
+        gamma_table, drift_table = _model1_tables(params, d)
+    elif d != params.d:
+        raise ValueError("model II with a %d x %d matrix A has block size "
+                         "%d, not %r" % (params.d, params.d, params.d, d))
+    else:
+        gamma_table, drift_table = _model2_tables(params)
     n = params.n
     layout = simplex_layout(n, d)
 

@@ -14,9 +14,9 @@ degenerate rank-one Dirichlet system carried by (D, Z).
 Gauge convention: U is determined only up to a diagonal phase.  The
 closed-form tables are stated in the gauge transported from the identity
 by left multiplication, i.e. the section along which (U* dU)_rr = 0.
-`polar_projection(..., base_frame=...)` realizes that section at a chosen
-base point by phase-aligning each eigenvector column against the base
-frame, which is what makes finite differences of U (and of the column
+`polar_projection(d, base_frame)` realizes that section at the base frame
+it requires by phase-aligning each eigenvector column against the base
+frame's U, which is what makes finite differences of U (and of the column
 mixture W) comparable with the tables.  Quantities invariant under the
 diagonal phase (H, N, x, Z) need no alignment.
 """
@@ -72,7 +72,7 @@ def complex_bm_ambient(d):
     Entry tables Gamma(m, m) = 0 and Gamma(m, conj m) = 2 Id realify to
     the identity co-metric on the 2 d^2 real coordinates, zero drift.
     """
-    layout = CplxLayout(d * d, shape=(d, d))
+    layout = CplxLayout((d, d))
     dim = layout.real_dim
     G = np.eye(dim)
     b = np.zeros(dim)
@@ -85,28 +85,28 @@ def polar_stack(d):
         ("H", HermLayout(1, d)),
         ("N", HermLayout(1, d)),
         ("lam", RealLayout(d)),
-        ("U", CplxLayout(d * d, shape=(d, d))),
-        ("V", CplxLayout(d * d, shape=(d, d))),
-        ("W", CplxLayout(d * d, shape=(d, d))),
+        ("U", CplxLayout((d, d))),
+        ("V", CplxLayout((d, d))),
+        ("W", CplxLayout((d, d))),
         ("Z", HermLayout(d - 1, d)),
     ])
 
 
-def polar_projection(d, base_frame=None):
+def polar_projection(d, base_frame):
     """Realified m-coordinates -> stacked real coordinates of the frame.
 
-    With base_frame given, the eigenvector columns (and through W = V U
-    the W columns) are phase-aligned against the base frame's U so the
-    finite-difference derivative realizes the (U* dU)_rr = 0 gauge of the
-    closed-form tables; see the module docstring.
+    The eigenvector columns (and through W = V U the W columns) are
+    phase-aligned against base_frame's U so the finite-difference
+    derivative realizes the (U* dU)_rr = 0 gauge of the closed-form
+    tables; see the module docstring.
     """
-    layout = CplxLayout(d * d, shape=(d, d))
+    layout = CplxLayout((d, d))
     stack = polar_stack(d)
-    base_U = None if base_frame is None else np.asarray(base_frame.U)
+    base_U = np.asarray(base_frame.U)
 
     def F(x):
         fr = PolarFrame(layout.from_real(x), check=False)
-        U = fr.U if base_U is None else _align_phases(fr.U, base_U)
+        U = _align_phases(fr.U, base_U)
         W = fr.V @ U
         return stack.pack({
             "H": [fr.H], "N": [fr.N], "lam": fr.lam,

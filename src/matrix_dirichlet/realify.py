@@ -154,9 +154,17 @@ class HermLayout(Realifier):
 
     def to_real(self, Z_list):
         """Real coordinates of n Hermitian blocks (a list or an (n, d, d)
-        array); only the diagonal and upper triangle are read."""
+        array; a bare (d, d) block when n = 1).  A stack of points
+        (..., n, d, d) gives (..., real_dim).  Only the diagonal and upper
+        triangle are read."""
         Z = np.ascontiguousarray(Z_list, dtype=complex)
-        return Z.view(float).reshape(-1)[self._take]
+        if Z.shape == (self.d, self.d) and self.n == 1:
+            Z = Z[None]
+        if Z.shape[-3:] != (self.n, self.d, self.d):
+            raise ValueError("expected blocks of shape (..., %d, %d, %d), "
+                             "got %s" % (self.n, self.d, self.d, Z.shape))
+        x = Z.view(float).reshape(Z.shape[:-3] + (2 * self.real_dim,))
+        return x.take(self._take, axis=-1)
 
     def from_real(self, x):
         """The n Hermitian blocks of x, as one (n, d, d) complex array; a
@@ -178,15 +186,16 @@ def simplex_layout(n, d):
 
 
 class CplxLayout(Realifier):
-    """m unconstrained complex coordinates (e.g. a flattened matrix).
+    """An unconstrained complex array of the given shape, as its m entries
+    z_0..z_{m-1} in C order.
 
     Real coordinates interleave as (Re z_0, Im z_0, Re z_1, Im z_1, ...);
     the entry list is (z_0..z_{m-1}, conj z_0..conj z_{m-1}).
     """
 
-    def __init__(self, m, shape=None):
-        self.m = m
-        self.shape = shape
+    def __init__(self, shape):
+        self.shape = tuple(shape)
+        self.m = m = int(np.prod(self.shape))
         self.real_dim = 2 * m
         self.n_entries = 2 * m
 
@@ -203,17 +212,11 @@ class CplxLayout(Realifier):
         self.D = D
 
     def to_real(self, z):
-        z = np.asarray(z, dtype=complex).ravel()
-        x = np.empty(2 * self.m)
-        x[0::2] = z.real
-        x[1::2] = z.imag
-        return x
+        return np.array(z, dtype=complex).reshape(self.m).view(float)
 
     def from_real(self, x):
-        z = np.asarray(x[0::2]) + 1j * np.asarray(x[1::2])
-        if self.shape is not None:
-            z = z.reshape(self.shape)
-        return z
+        return (np.asarray(x[0::2]) + 1j * np.asarray(x[1::2])).reshape(
+            self.shape)
 
     def assemble_entry_gamma(self, Gzz, Gzw):
         """Full 2m x 2m entry table from Gamma(z,z) and Gamma(z, conj z)."""

@@ -22,7 +22,6 @@ import math
 import numpy as np
 from scipy.linalg.lapack import dpstrf
 
-from .calculus import DiffusionModel
 from .errors import NotPsdError, StepRejectedError
 
 _N_BATCHES = 20  # batch-means batches of every simulated path
@@ -148,12 +147,6 @@ def _em_chain(model, x, dt, rng):
     return x, n_rej
 
 
-def em_step(model, x, dt, rng):
-    """One Euler-Maruyama increment of total length dt (sub-stepped on
-    domain exits)."""
-    return _em_chain(model, x, dt, rng)[0]
-
-
 class PathSummary:
     """Streaming moments of a simulated path.
 
@@ -247,46 +240,3 @@ def _write_rows(fh, rows):
     for start in range(0, len(rows), _CSV_BLOCK):
         fh.write("".join([fmt % tuple(row) for row in
                           rows[start:start + _CSV_BLOCK].tolist()]))
-
-
-# 1-D reference diffusions used to calibrate the integrator.  All three
-# are classical orthogonal-polynomial generators; the factor-2 SDE
-# convention makes their stationary laws N(0,1), gamma(a), and the
-# (-1,1) beta law respectively.
-
-def ou_model():
-    """L = d^2/dx^2 - x d/dx; stationary law N(0, 1)."""
-    return DiffusionModel(
-        1, gamma=lambda x: np.array([[1.0]]),
-        drift=lambda x: -np.asarray(x))
-
-
-def ou_grad_log(x):
-    return -np.asarray(x)
-
-
-def laguerre_model(a):
-    """L = x d^2/dx^2 + (a - x) d/dx on (0, inf); stationary gamma(a)."""
-    return DiffusionModel(
-        1, gamma=lambda x: np.array([[x[0]]]),
-        drift=lambda x: np.array([a - x[0]]),
-        domain_test=lambda x: x[0] > 1e-12)
-
-
-def laguerre_grad_log(a, x):
-    return np.array([(a - 1.0) / x[0] - 1.0])
-
-
-def jacobi_model(a, b):
-    """L = (1 - x^2) d^2/dx^2 - (a - b + (a + b) x) d/dx on (-1, 1).
-
-    Stationary density proportional to (1-x)^(a-1) (1+x)^(b-1).
-    """
-    return DiffusionModel(
-        1, gamma=lambda x: np.array([[1.0 - x[0] ** 2]]),
-        drift=lambda x: np.array([-(a - b + (a + b) * x[0])]),
-        domain_test=lambda x: abs(x[0]) < 1.0 - 1e-12)
-
-
-def jacobi_grad_log(a, b, x):
-    return np.array([-(a - 1.0) / (1.0 - x[0]) + (b - 1.0) / (1.0 + x[0])])

@@ -36,6 +36,8 @@ class ScalarModelParams:
     def __init__(self, A, a):
         A = np.asarray(A, dtype=float)
         a = np.asarray(a, dtype=float)
+        if not (np.isfinite(A).all() and np.isfinite(a).all()):
+            raise ValueError("A and a must be finite")
         if A.shape != (a.size, a.size):
             raise ValueError("A must be (n+1)x(n+1) matching a")
         if not np.allclose(A, A.T):

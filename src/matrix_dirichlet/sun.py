@@ -66,7 +66,7 @@ class Partition:
 
 
 def sun_layout(N):
-    return CplxLayout(N * N, shape=(N, N))
+    return CplxLayout((N, N))
 
 
 def group_distance(u):

@@ -217,7 +217,7 @@ def check_polar_identities(d, rng, n_frames):
 
     Same return convention as check_frame_identities.
     """
-    lay = CplxLayout(d * d, shape=(d, d))
+    lay = CplxLayout((d, d))
     ambient = complex_bm_ambient(d)
 
     def frame():
@@ -599,7 +599,7 @@ def _suite_polar(rng, samples):
             m = np.diag(xs).astype(complex)
             F, stack = polar_projection(d, base_frame=PolarFrame(m))
             yield (complex_bm_ambient(d), F, stack,
-                   CplxLayout(d * d, shape=(d, d)).to_real(m),
+                   CplxLayout((d, d)).to_real(m),
                    diagonal_point_forms(xs))
 
     worst, _ = _check_table(diagonal_frames(), _DIAGONAL_TABLE)
@@ -626,7 +626,7 @@ def _suite_polar(rng, samples):
     d = 3
     m, fr = sample_polar_frame(d, rng)
     params = scalar_projection_params(fr)
-    lay = CplxLayout(d * d, shape=(d, d))
+    lay = CplxLayout((d, d))
     ambient = complex_bm_ambient(d)
 
     def Fv(x):

@@ -74,7 +74,7 @@ def matrix_ou_ambient(d, m):
     """Complex matrix Ornstein-Uhlenbeck: Gamma(Y, conj Y) = 2 delta delta,
     drift -Y, over d x m complex entries; W = YY* projects onto one Wishart
     block with dimension parameter m."""
-    layout = CplxLayout(d * m, shape=(d, m))
+    layout = CplxLayout((d, m))
 
     def gamma(x):
         return np.eye(layout.real_dim)
@@ -171,36 +171,31 @@ def smz_stack(n, d):
         ("N", HermLayout(1, d)),
         ("Ninv", HermLayout(1, d)),
         ("M", HermLayout(n, d)),
-        ("U", CplxLayout(d * d, shape=(d, d))),
+        ("U", CplxLayout((d, d))),
         ("Z", HermLayout(n, d)),
     ])
 
 
-def smz_projection(d, dims, base_frame=None):
+def smz_projection(d, dims, base_frame):
     """Realified W-coordinates -> stacked real coordinates of the frame.
 
-    With base_frame given, the unitary factor is phase-aligned against the
-    base frame's U: each column is rotated so that (U_base* U)_rr is real
-    positive.  At the base point this reproduces U_base, and along any
-    perturbation it realizes the gauge with no diagonal rotation
-    ((U* dU)_rr = 0), which is the gauge in which the closed forms for the
-    U- and Z-coordinates are stated.  Without a base frame the diagonal-real
-    phase convention is used (deterministic but carrying an extra diagonal
-    phase drift under differentiation).
+    The unitary factor is phase-aligned against base_frame's U: each
+    column is rotated so that (U_base* U)_rr is real positive.  At the base
+    point this reproduces U_base, and along any perturbation it realizes
+    the gauge with no diagonal rotation ((U* dU)_rr = 0), which is the gauge
+    in which the closed forms for the U- and Z-coordinates are stated.
     """
     m = len(dims)
     n = m - 1
     wlay = simplex_layout(m, d)
     stack = smz_stack(n, d)
-    base_U = None if base_frame is None else np.asarray(base_frame.U)
+    base_U = np.asarray(base_frame.U)
 
     def F(x):
         family = WishartFamily(wlay.from_real(x), dims, check=False)
         fr = SMZFrame(family)
-        U, Z = fr.U, fr.Z
-        if base_U is not None:
-            U = _align_phases(U, base_U)
-            Z = U.conj().T @ fr.M @ U
+        U = _align_phases(fr.U, base_U)
+        Z = U.conj().T @ fr.M @ U
         return stack.pack({
             "W": family.W, "S": [fr.S], "lam": fr.lam, "N": [fr.Nmat],
             "Ninv": [fr.Ninv], "M": fr.M, "U": U, "Z": Z})

@@ -16,9 +16,7 @@ from matrix_dirichlet.matrix_simplex import (
     sylvester_spectrum)
 from matrix_dirichlet.poly import MultiPoly, check_boundary_affine_exact
 from matrix_dirichlet.realify import HermLayout
-from matrix_dirichlet.sde import (
-    SimConfig, jacobi_grad_log, jacobi_model, laguerre_grad_log,
-    laguerre_model, ou_grad_log, ou_model, simulate)
+from matrix_dirichlet.sde import SimConfig, simulate
 from matrix_dirichlet.simplex import (
     ScalarModelParams, dirichlet_grad_log, sample_dirichlet, scalar_model,
     simplex_gamma_polys)
@@ -34,6 +32,10 @@ from matrix_dirichlet.wishart import (
     sample_smz_frame, sample_wishart_family, theorem_params,
     wishart_ambient, wishart_grad_log)
 from matrix_dirichlet.linalg import _chunk_sizes, _haar_draws, haar_unitary
+
+from reference_diffusions import (
+    jacobi_grad_log, jacobi_model, laguerre_grad_log, laguerre_model,
+    ou_grad_log, ou_model)
 
 
 def _report(num, desc, ok):

@@ -15,19 +15,7 @@ from matrix_dirichlet.simplex import (
 from matrix_dirichlet.wishart import (
     sample_smz_frame, smz_projection, wishart_ambient)
 
-
-def ou_model():
-    return DiffusionModel(1, gamma=lambda x: np.array([[1.0]]),
-                          drift=lambda x: -np.asarray(x))
-
-
-def jacobi_model(a, b):
-    # (1-x^2) f'' - (a - b + (a+b) x) f' on (-1, 1)
-    return DiffusionModel(
-        1,
-        gamma=lambda x: np.array([[1.0 - x[0] ** 2]]),
-        drift=lambda x: np.array([-(a - b + (a + b) * x[0])]),
-        domain_test=lambda x: abs(x[0]) < 1.0)
+from reference_diffusions import jacobi_grad_log, jacobi_model, ou_model
 
 
 def test_pushforward_gamma_square():
@@ -102,7 +90,7 @@ def _polar_case(rng):
     m, fr = sample_polar_frame(d, rng)
     F, _ = polar_projection(d, base_frame=fr)
     return (complex_bm_ambient(d), F,
-            CplxLayout(d * d, shape=(d, d)).to_real(m))
+            CplxLayout((d, d)).to_real(m))
 
 
 @pytest.mark.parametrize("case", [_sphere_case, _wishart_case, _polar_case])
@@ -169,12 +157,9 @@ def test_reversibility_ou():
 
 def test_reversibility_jacobi():
     a, b = 2.0, 2.0
-    model = jacobi_model(a, b)
-
-    def grad_log(x):
-        return np.array([-(a - 1) / (1 - x[0]) + (b - 1) / (1 + x[0])])
-
-    res = reversibility_residual(model, grad_log, np.array([0.3]))
+    res = reversibility_residual(jacobi_model(a, b),
+                                 lambda x: jacobi_grad_log(a, b, x),
+                                 np.array([0.3]))
     assert abs(res[0]) < 1e-8
 
 

@@ -716,6 +716,18 @@ def test_model2_needs_a_free_block(form, rng):
         form(params)
 
 
+@pytest.mark.parametrize("d", [1, 3])
+def test_closed_form_model2_rejects_another_d(d):
+    # a 2 x 2 A fixes the block size: d = 3 built a model of dimension 18
+    # whose first gamma call failed inside numpy with a reshape error
+    import matrix_dirichlet.matrix_simplex as ms
+    params = Model2Params(np.eye(2), 0.4 * np.eye(4).reshape(2, 2, 2, 2),
+                          [2.0, 2.0, 2.0])
+    with pytest.raises(ValueError, match="block size 2, not %d" % d):
+        ms._closed_form_model(params, d)
+    assert ms._closed_form_model(params, 2).dim == 8
+
+
 @pytest.mark.parametrize("n, d", [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3)])
 def test_model_closures_bitwise_equal_to_public_forms(n, d, rng):
     # the coefficient form is taken from the closed-form entry tables of

@@ -19,7 +19,7 @@ from matrix_dirichlet.verify import check_polar_identities
 def test_complex_bm_ambient():
     d = 2
     model = complex_bm_ambient(d)
-    layout = CplxLayout(d * d, shape=(d, d))
+    layout = CplxLayout((d, d))
     x = layout.to_real(np.ones((d, d), dtype=complex))
     np.testing.assert_allclose(model.gamma(x), np.eye(2 * d * d))
     np.testing.assert_allclose(model.drift(x), 0.0)
@@ -83,7 +83,7 @@ def test_diagonal_point_internals(rng):
         fr0 = PolarFrame(np.diag(xs).astype(complex))
         np.testing.assert_allclose(fr0.U, np.eye(d), atol=1e-14)
         F, stack = polar_projection(d, base_frame=fr0)
-        lay = CplxLayout(d * d, shape=(d, d))
+        lay = CplxLayout((d, d))
         ambient = complex_bm_ambient(d)
         x = lay.to_real(np.diag(xs).astype(complex))
         G, L = pushforward_generator(ambient, F, x)
@@ -148,7 +148,7 @@ def test_scalar_projection(rng):
     assert in_simplex(v)
     assert abs(np.sum(v) + fr.Z[d - 1][0, 0].real - 1.0) < 1e-12
     params = scalar_projection_params(fr)
-    lay = CplxLayout(d * d, shape=(d, d))
+    lay = CplxLayout((d, d))
     ambient = complex_bm_ambient(d)
 
     def F(x):
@@ -166,7 +166,7 @@ def test_w_column_projectors(rng):
     d = 3
     m, fr = sample_polar_frame(d, rng)
     params = DegenerateDirichletParams(fr.lam)
-    lay = CplxLayout(d * d, shape=(d, d))
+    lay = CplxLayout((d, d))
     hlay = HermLayout(d - 1, d)
     ambient = complex_bm_ambient(d)
 

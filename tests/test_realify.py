@@ -42,6 +42,42 @@ def test_herm_roundtrip(n, d, seed):
         x, (layout.D @ np.asarray(Zs).ravel()).real)
 
 
+@pytest.mark.parametrize("n, d", [(1, 1), (1, 3), (2, 2), (3, 3)])
+def test_herm_to_real_of_a_stack(n, d, rng):
+    layout = HermLayout(n, d)
+    K = 5
+    # not Hermitian: the stack reads only each diagonal and upper triangle
+    Z = (rng.standard_normal((K, n, d, d))
+         + 1j * rng.standard_normal((K, n, d, d)))
+    X = layout.to_real(Z)
+    assert X.shape == (K, layout.real_dim)
+    assert X.tobytes() == np.array([layout.to_real(z) for z in Z]).tobytes()
+    assert layout.to_real(Z[None]).shape == (1, K, layout.real_dim)
+    # the Hermitian blocks that the diagonal and upper triangles define
+    diag = np.arange(d), np.arange(d)
+    H = np.triu(Z, 1)
+    H += np.swapaxes(H, -1, -2).conj()
+    H[(Ellipsis,) + diag] = Z[(Ellipsis,) + diag].real
+    np.testing.assert_array_equal(layout.from_real(X), H)
+    assert layout.to_real(H).tobytes() == X.tobytes()
+
+
+def test_herm_to_real_rejects_other_shapes():
+    layout = HermLayout(2, 2)
+    for shape in [(5, 2, 2), (1, 2, 2), (2, 3, 3), (5, 2, 3, 3), (2, 2, 3),
+                  (2, 2), (8,)]:
+        with pytest.raises(ValueError, match="shape"):
+            layout.to_real(np.zeros(shape, dtype=complex))
+    # one block: a bare (d, d) block is one point, a (K, d, d) stack needs
+    # K = n = 1 or a block axis
+    layout = HermLayout(1, 3)
+    assert (layout.to_real(np.eye(3)).tobytes()
+            == layout.to_real(np.eye(3)[None]).tobytes())
+    for shape in [(4, 3, 3), (2, 2), (1, 2, 2), (3,)]:
+        with pytest.raises(ValueError, match="shape"):
+            layout.to_real(np.zeros(shape, dtype=complex))
+
+
 def test_simplex_layout_is_shared():
     assert simplex_layout(2, 3) is simplex_layout(2, 3)
     assert simplex_layout(2, 3) is not simplex_layout(3, 2)
@@ -67,7 +103,7 @@ def test_herm_E_D_are_inverse():
 
 
 def test_cplx_roundtrip(rng):
-    layout = CplxLayout(6, shape=(2, 3))
+    layout = CplxLayout((2, 3))
     z = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
     np.testing.assert_allclose(layout.from_real(layout.to_real(z)), z)
     np.testing.assert_allclose(layout.D @ layout.E, np.eye(12), atol=1e-14)
@@ -76,7 +112,7 @@ def test_cplx_roundtrip(rng):
 def test_complex_bm_realifies_to_independent_parts():
     # scalar complex Brownian motion: Gamma(z,z)=0, Gamma(z,zbar)=2
     # must convert to unit co-metric on (Re z, Im z)
-    layout = CplxLayout(1)
+    layout = CplxLayout((1,))
     T = layout.assemble_entry_gamma([[0.0]], [[2.0]])
     G = layout.gamma_to_real(T)
     np.testing.assert_allclose(G, np.eye(2), atol=1e-14)
@@ -131,7 +167,7 @@ def test_herm_grad_chain(rng):
 
 def test_coord_stack_blocks(rng):
     stack = CoordStack([("S", HermLayout(1, 2)), ("lam", RealLayout(2)),
-                        ("u", CplxLayout(4, shape=(2, 2)))])
+                        ("u", CplxLayout((2, 2)))])
     assert stack.real_dim == 4 + 2 + 8
     S = random_hermitian(rng, 2)
     lam = np.array([1.0, 2.0])

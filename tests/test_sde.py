@@ -10,12 +10,14 @@ from matrix_dirichlet.calculus import (
     DiffusionModel, reversibility_residual)
 from matrix_dirichlet.errors import NotPsdError, StepRejectedError
 from matrix_dirichlet.sde import (
-    _CSV_BLOCK, SimConfig, _write_rows, diffusion_factor, em_step,
-    jacobi_grad_log, jacobi_model, laguerre_grad_log, laguerre_model,
-    ou_grad_log, ou_model, simulate, write_path_csv)
+    _CSV_BLOCK, SimConfig, _em_chain, _write_rows, diffusion_factor,
+    simulate, write_path_csv)
 from matrix_dirichlet.simplex import (
     ScalarModelParams, _closed_form_scalar_model, scalar_model)
 
+from reference_diffusions import (
+    jacobi_grad_log, jacobi_model, laguerre_grad_log, laguerre_model,
+    ou_grad_log, ou_model)
 from test_simplex import (
     _drift_simplex_ref, _gamma_simplex_ref, _in_simplex_ref)
 
@@ -79,14 +81,14 @@ def test_em_step_reports_non_finite_gamma(rng):
     model = DiffusionModel(2, gamma=lambda x: np.full((2, 2), np.nan),
                            drift=lambda x: np.zeros(2))
     with pytest.raises(NotPsdError):
-        em_step(model, np.zeros(2), 1e-3, rng)
+        _em_chain(model, np.zeros(2), 1e-3, rng)[0]
 
 
 def test_em_step_deterministic_limit(rng):
     # zero co-metric: the step is the exact drift increment
     model = DiffusionModel(2, gamma=lambda x: np.zeros((2, 2)),
                            drift=lambda x: np.array([1.0, -2.0]))
-    x = em_step(model, np.array([0.0, 0.0]), 0.25, rng)
+    x = _em_chain(model, np.array([0.0, 0.0]), 0.25, rng)[0]
     np.testing.assert_allclose(x, [0.25, -0.5], atol=1e-14)
 
 
@@ -96,7 +98,7 @@ def test_em_step_rejection(rng):
                            drift=lambda x: np.zeros(1),
                            domain_test=lambda x: abs(x[0]) < 1e-12)
     with pytest.raises(StepRejectedError) as exc:
-        em_step(model, np.zeros(1), 1.0, rng)
+        _em_chain(model, np.zeros(1), 1.0, rng)[0]
     assert "after 8 halvings" in str(exc.value)
     assert exc.value.position is not None
     assert exc.value.proposal is not None
@@ -115,7 +117,7 @@ def test_em_step_fails_when_halving_stalls(rng):
                            drift=lambda x: np.zeros(1),
                            domain_test=domain_test)
     with pytest.raises(StepRejectedError, match="sub-steps"):
-        em_step(model, np.zeros(1), 1.0, rng)
+        _em_chain(model, np.zeros(1), 1.0, rng)[0]
     assert len(calls) == 4096
 
 
@@ -124,7 +126,7 @@ def one_step_moments(model, x0, dt, M, rng):
     acc = np.zeros(d)
     acc2 = np.zeros(d)
     for _ in range(M):
-        dx = em_step(model, x0, dt, rng) - x0
+        dx = _em_chain(model, x0, dt, rng)[0] - x0
         acc += dx
         acc2 += dx * dx
     mean = acc / M

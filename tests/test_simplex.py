@@ -453,6 +453,18 @@ def test_scalar_model_rejects_bad_margin(margin):
         scalar_model(ones_params(2), margin=margin)
 
 
+@pytest.mark.parametrize("A, a", [
+    ([[0, np.inf, 1], [np.inf, 0, 1], [1, 1, 0]], [1.0, 1.0, 1.0]),
+    ([[0, np.nan, 1], [np.nan, 0, 1], [1, 1, 0]], [1.0, 1.0, 1.0]),
+    ([[0, 1, 1], [1, 0, 1], [1, 1, 0]], [1.0, np.inf, 1.0]),
+    ([[0, 1, 1], [1, 0, 1], [1, 1, 0]], [np.nan, 1.0, 1.0])],
+    ids=["inf-weight", "nan-weight", "inf-exponent", "nan-exponent"])
+def test_scalar_params_reject_non_finite(A, a):
+    # an infinite weight made scalar_model's Gamma all NaN, with warnings
+    with pytest.raises(ValueError, match="finite"):
+        ScalarModelParams(A, a)
+
+
 def test_scalar_model_needs_a_free_coordinate():
     params = ScalarModelParams(np.zeros((1, 1)), [2.0])
     assert params.n == 0

@@ -11,7 +11,7 @@ from matrix_dirichlet.matrix_simplex import (
     _direct_draws, _ginibre_squares, drift_model2_entries,
     gamma_model2_entries)
 from matrix_dirichlet.realify import HermLayout, simplex_layout
-from matrix_dirichlet.sde import em_step
+from matrix_dirichlet.sde import _em_chain
 from matrix_dirichlet.verify import check_frame_identities
 from matrix_dirichlet.wishart import (
     SMZFrame, WishartFamily, closed_form_smz_system,
@@ -88,7 +88,7 @@ _SDE_LAYOUT = simplex_layout(1, 2)
 
 def _wishart_em_step(W, dt, rng):
     """One generic Euler-Maruyama step of the 2 x 2 Wishart SDE from W."""
-    x = em_step(_SDE_MODEL, _SDE_LAYOUT.to_real([W]), dt, rng)
+    x = _em_chain(_SDE_MODEL, _SDE_LAYOUT.to_real([W]), dt, rng)[0]
     return _SDE_LAYOUT.from_real(x)[0]
 
 
