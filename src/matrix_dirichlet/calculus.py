@@ -14,11 +14,11 @@ spectral directions of G (directional second differences with Richardson
 extrapolation), which is algebraically identical to the full contraction but
 needs O(dim) instead of O(dim^2) evaluations of F.
 
-Every first derivative (the Jacobian J, the numeric gradient of a
-log-density and the divergence of the co-metric in the reversibility
-residual) comes from one central-difference stencil: coordinate i steps by
-h (1 + |x_i|), and the step is quartered up to three times while a stencil
-point leaves the model's domain.
+Every derivative, first and second, comes from one stencil routine: first
+differences (the Jacobian J, the numeric gradient of a log-density and the
+divergence of the co-metric) step coordinate i by h (1 + |x_i|), second
+differences step along an eigenvector of G by h and h/2, and the step is
+quartered up to three times while a stencil point leaves the domain.
 """
 
 import numpy as np
@@ -158,35 +158,39 @@ class VerificationReport:
                    self.n_samples))
 
 
-def _try_eval(F, x, domain_test):
-    if domain_test is not None and not domain_test(x):
-        return None
-    return F(x)
+def _stencil(f, x, v, h, domain_test, scales):
+    """f at x + s h v and then x - s h v for each s in scales, in that
+    order, and the step h used.  A point outside the domain, or where f
+    returns None, stops the stencil; h is then quartered, at most three
+    times, before a DerivativeError.  f is never evaluated outside."""
+    def values(h):
+        out = []
+        for s in scales:
+            step = (s * h) * v
+            for point in (x + step, x - step):
+                if domain_test is not None and not domain_test(point):
+                    return None
+                value = f(point)
+                if value is None:
+                    return None
+                out.append(np.asarray(value))
+        return out
+
+    for _ in range(4):
+        out = values(h)
+        if out is not None:
+            return out, h
+        h /= 4.0
+    raise DerivativeError("stencil along %s leaves the domain" % v)
 
 
 def _central_difference(f, x, h, domain_test):
-    """Central differences of f along each coordinate, stacked on axis 0.
-
-    A stencil point where f returns None counts as outside the domain.
-    """
+    """Central differences of f along each coordinate, stacked on axis 0."""
     x = np.asarray(x, dtype=float)
     out = []
-    for i in range(x.size):
-        hi = h * (1.0 + abs(x[i]))
-        for _ in range(4):
-            xp = x.copy()
-            xm = x.copy()
-            xp[i] += hi
-            xm[i] -= hi
-            fp = _try_eval(f, xp, domain_test)
-            fm = _try_eval(f, xm, domain_test)
-            if fp is not None and fm is not None:
-                out.append((np.asarray(fp) - np.asarray(fm)) / (2.0 * hi))
-                break
-            hi /= 4.0
-        else:
-            raise DerivativeError(
-                "stencil for coordinate %d leaves the domain" % i)
+    for xi, e in zip(x.tolist(), np.eye(x.size)):
+        (fp, fm), hi = _stencil(f, x, e, h * (1 + abs(xi)), domain_test, (1.0,))
+        out.append((fp - fm) / (2.0 * hi))
     return np.array(out)
 
 
@@ -197,21 +201,11 @@ def jacobian(F, x, h=_H, domain_test=None):
 
 
 def _directional_second(F, x, v, h, domain_test, f0):
-    def d2(step):
-        fp = _try_eval(F, x + step * v, domain_test)
-        fm = _try_eval(F, x - step * v, domain_test)
-        if fp is None or fm is None:
-            raise DerivativeError("directional stencil leaves the domain")
-        return (np.asarray(fp) - 2.0 * f0 + np.asarray(fm)) / (step * step)
-
-    for _ in range(4):
-        try:
-            coarse = d2(h)
-            fine = d2(0.5 * h)
-            return (4.0 * fine - coarse) / 3.0
-        except DerivativeError:
-            h /= 4.0
-    raise DerivativeError("directional stencil leaves the domain")
+    """Second difference of F along v, extrapolated from steps h and h/2."""
+    (p, m, p2, m2), h = _stencil(F, x, v, h, domain_test, (1.0, 0.5))
+    coarse = (p - 2.0 * f0 + m) / (h * h)
+    fine = (p2 - 2.0 * f0 + m2) / ((0.5 * h) * (0.5 * h))
+    return (4.0 * fine - coarse) / 3.0
 
 
 def pushforward_gamma(ambient, F, x):

@@ -15,14 +15,12 @@ import sys
 import numpy as np
 
 from .errors import MatrixDirichletError, StepRejectedError
+from .linalg import _chunk_sizes
 from .matrix_simplex import (
     MatrixSimplexPoint, Model1Params, _direct_draws, model1, model2,
     params_from_json, point_to_real, simplex_layout)
 from .sde import SimConfig, _write_rows, simulate, write_path_csv
 from .verify import SUITE_NAMES, format_report, run_suite
-
-# direct draws per batch in `sample`: bounds its memory for any --n
-_SAMPLE_CHUNK = 4096
 
 
 def _out_problem(path):
@@ -130,16 +128,15 @@ def _cmd_sample(args, parser):
 
 def _write_draws(path, d, dims, count, seed):
     """count direct matrix Dirichlet draws as CSV rows of real coordinates,
-    drawn and written _SAMPLE_CHUNK at a time."""
+    in `linalg._chunk_sizes` chunks, so a row's bits do not depend on count."""
     layout = simplex_layout(len(dims) - 1, d)
     rng = np.random.Generator(np.random.Philox(seed))
     with open(path, "w", newline="") as fh:
         fh.write("# law: matrix-dirichlet d=%d dims=%s seed=%d\n"
                  % (d, ",".join(str(r) for r in dims), seed))
         csv.writer(fh).writerow(layout.coordinate_names())
-        for start in range(0, count, _SAMPLE_CHUNK):
-            Z = _direct_draws(d, dims, rng, min(_SAMPLE_CHUNK, count - start))
-            _write_rows(fh, layout.to_real(Z))
+        for K in _chunk_sizes(count):
+            _write_rows(fh, layout.to_real(_direct_draws(d, dims, rng, K)))
 
 
 def _int_at_least(minimum):

@@ -12,7 +12,9 @@ import math
 import numpy as np
 from scipy.linalg.lapack import zgeqrf, zungqr
 
-from .errors import NotPsdError, SpectralGapError
+from .errors import MatrixDirichletError, NotPsdError, SpectralGapError
+
+_DRAW_CHUNK = 512  # draws per stacked kernel call
 
 
 def _hermitize(A):
@@ -124,10 +126,24 @@ def _qr_lwork(N):
 
 
 def _chunk_sizes(K):
-    """Sizes of consecutive kernel calls of at most 512 draws that make up
-    K draws; the cap bounds the stacks' memory, and the calls read the
-    stream in draw order."""
-    return [min(512, K - start) for start in range(0, K, 512)]
+    """Sizes of consecutive kernel calls of at most _DRAW_CHUNK draws that
+    make up K draws; the cap bounds the stacks' memory, and the calls read
+    the stream in draw order."""
+    return [min(_DRAW_CHUNK, K - start) for start in range(0, K, _DRAW_CHUNK)]
+
+
+def _draw_frame(draw, frame, usable):
+    """(sample, frame(sample)) for the first of up to 200 draws whose frame
+    builds and is usable; only package and LinAlgError failures skip one."""
+    for _ in range(200):
+        sample = draw()
+        try:
+            fr = frame(sample)
+        except (MatrixDirichletError, np.linalg.LinAlgError):
+            continue
+        if usable(fr):
+            return sample, fr
+    raise RuntimeError("no usable frame in 200 draws")
 
 
 def _haar_draws(N, rng, K, special=False):

@@ -24,8 +24,8 @@ diagonal phase (H, N, x, Z) need no alignment.
 import numpy as np
 
 from .calculus import DiffusionModel
-from .errors import MatrixDirichletError, SingularError
-from .linalg import _align_phases, _hermitize, hermitian_eigen
+from .errors import SingularError
+from .linalg import _align_phases, _draw_frame, _hermitize, hermitian_eigen
 from .realify import CoordStack, CplxLayout, HermLayout, RealLayout
 from .simplex import ScalarModelParams
 
@@ -79,19 +79,6 @@ def complex_bm_ambient(d):
     return DiffusionModel(dim, gamma=lambda x: G, drift=lambda x: b)
 
 
-def polar_stack(d):
-    """Real coordinate stack for the full polar frame."""
-    return CoordStack([
-        ("H", HermLayout(1, d)),
-        ("N", HermLayout(1, d)),
-        ("lam", RealLayout(d)),
-        ("U", CplxLayout((d, d))),
-        ("V", CplxLayout((d, d))),
-        ("W", CplxLayout((d, d))),
-        ("Z", HermLayout(d - 1, d)),
-    ])
-
-
 def polar_projection(d, base_frame):
     """Realified m-coordinates -> stacked real coordinates of the frame.
 
@@ -101,7 +88,15 @@ def polar_projection(d, base_frame):
     tables; see the module docstring.
     """
     layout = CplxLayout((d, d))
-    stack = polar_stack(d)
+    stack = CoordStack([
+        ("H", HermLayout(1, d)),
+        ("N", HermLayout(1, d)),
+        ("lam", RealLayout(d)),
+        ("U", CplxLayout((d, d))),
+        ("V", CplxLayout((d, d))),
+        ("W", CplxLayout((d, d))),
+        ("Z", HermLayout(d - 1, d)),
+    ])
     base_U = np.asarray(base_frame.U)
 
     def F(x):
@@ -312,16 +307,9 @@ def sample_polar_frame(d, rng):
     """Ginibre matrix conditioned on spectral radii at least 0.3 and gaps
     at least 0.25 (finite differences of the frame amplify as inverse
     gaps), within 200 tries.  Returns (m, frame)."""
-    for _ in range(200):
-        m = (rng.standard_normal((d, d))
-             + 1j * rng.standard_normal((d, d)))
-        try:
-            fr = PolarFrame(m, check=False)
-        except (MatrixDirichletError, np.linalg.LinAlgError):
-            continue
-        if np.min(fr.lam) < 0.3:
-            continue
-        if d > 1 and np.min(np.diff(fr.lam)) < 0.25:
-            continue
-        return m, fr
-    raise RuntimeError("no valid frame in 200 tries")
+    return _draw_frame(
+        lambda: (rng.standard_normal((d, d))
+                 + 1j * rng.standard_normal((d, d))),
+        lambda m: PolarFrame(m, check=False),
+        lambda fr: not (np.min(fr.lam) < 0.3
+                        or d > 1 and np.min(np.diff(fr.lam)) < 0.25))

@@ -43,9 +43,8 @@ class Realifier:
         """Real co-metric from an entry-space Gamma table."""
         return (self.D @ np.asarray(T) @ self.D.T).real
 
-    def gamma_to_entries(self, G, other=None):
-        """Entry-space Gamma table from a real co-metric block."""
-        other = self if other is None else other
+    def gamma_to_entries(self, G, other):
+        """Entry-space Gamma table of a real co-metric block, self by other."""
         return self.E @ np.asarray(G) @ other.E.T
 
     def drift_to_real(self, l_entries):
@@ -71,19 +70,16 @@ class HermLayout(Realifier):
     def __init__(self, n, d):
         self.n = n
         self.d = d
-        self.block = d * d
         self.real_dim = n * d * d
         self.n_entries = n * d * d
 
         iu, ju = np.triu_indices(d, 1)
-        pairs = list(zip(iu.tolist(), ju.tolist()))
-        self._pair_pos = {p: k for k, p in enumerate(pairs)}
-        self.pairs = pairs
+        self.pairs = pairs = list(zip(iu.tolist(), ju.tolist()))
 
         # per block k (offset k*d^2 in both spaces): entry indices of the
         # diagonal, upper and lower entries, and the real coordinates of the
         # diagonal and of each (Re, Im) pair
-        off = (np.arange(n) * self.block)[:, None]
+        off = (np.arange(n) * d * d)[:, None]
         e_diag = (off + np.arange(d) * (d + 1)).ravel()
         e_up = (off + iu * d + ju).ravel()
         e_lo = (off + ju * d + iu).ravel()
@@ -111,35 +107,21 @@ class HermLayout(Realifier):
         take[c_diag] = 2 * e_diag
         take[c_re] = 2 * e_up
         take[c_im] = 2 * e_up + 1
-        # from_real: entries_float = sign * x[put]; the Im slots of the
-        # diagonal have sign 0, the Im slots of lower entries sign -1
-        put = np.zeros(2 * self.n_entries, dtype=np.intp)
-        sign = np.zeros(2 * self.n_entries)
-        put[2 * e_diag] = c_diag
-        put[2 * e_up] = put[2 * e_lo] = c_re
-        put[2 * e_up + 1] = put[2 * e_lo + 1] = c_im
-        sign[2 * e_diag] = sign[2 * e_up] = sign[2 * e_lo] = 1.0
-        sign[2 * e_up + 1] = 1.0
-        sign[2 * e_lo + 1] = -1.0
-        for arr in (E, D, take, put, sign):
+        # from_real: entries_float[fill] = sign * x[put], sign -1 in the Im
+        # slots of lower entries; the Im slots of the diagonal have no
+        # source and stay +0.0
+        fill = np.concatenate([2 * e_diag, 2 * e_up, 2 * e_lo, 2 * e_up + 1,
+                               2 * e_lo + 1])
+        put = np.concatenate([c_diag, c_re, c_re, c_im, c_im])
+        sign = np.repeat([1.0, -1.0], [fill.size - e_lo.size, e_lo.size])
+        for arr in (E, D, take, fill, put, sign):
             arr.flags.writeable = False
         self.E = E
         self.D = D
         self._take = take
+        self._fill = fill
         self._put = put
         self._sign = sign
-
-    def entry_index(self, k, i, j):
-        return k * self.block + i * self.d + j
-
-    def diag_index(self, k, i):
-        return k * self.block + i
-
-    def re_index(self, k, i, j):
-        return k * self.block + self.d + 2 * self._pair_pos[(i, j)]
-
-    def im_index(self, k, i, j):
-        return k * self.block + self.d + 2 * self._pair_pos[(i, j)] + 1
 
     def coordinate_names(self):
         """Names of the real coordinates in layout order: Zk_di for the
@@ -170,8 +152,8 @@ class HermLayout(Realifier):
         """The n Hermitian blocks of x, as one (n, d, d) complex array; a
         stack of points (..., real_dim) gives (..., n, d, d)."""
         x = np.asarray(x, dtype=float)
-        out = x.take(self._put, axis=-1)
-        out *= self._sign
+        out = np.zeros(x.shape[:-1] + (2 * self.n_entries,))
+        out[..., self._fill] = x.take(self._put, axis=-1) * self._sign
         return out.view(complex).reshape(*x.shape[:-1], self.n, self.d, self.d)
 
 

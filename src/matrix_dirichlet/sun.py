@@ -65,10 +65,6 @@ class Partition:
         self.group_of = np.repeat(np.arange(self.n + 1), self.sizes)
 
 
-def sun_layout(N):
-    return CplxLayout((N, N))
-
-
 def group_distance(u):
     u = np.asarray(u, dtype=complex)
     return float(np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))))
@@ -86,7 +82,7 @@ def sun_ambient(N):
     group raise OffGroupError (the tolerance leaves room for the finite
     difference stencils of the pushforward engine).
     """
-    layout = sun_layout(N)
+    layout = CplxLayout((N, N))
     c1 = 1.0 / (2.0 * N)
     c2 = 1.0 / (2.0 * N * N)
 
@@ -274,7 +270,7 @@ def extract_Z(state, partition):
 
 def extraction_map(partition):
     """Realified u-entries -> realified free Z blocks."""
-    ulay = sun_layout(partition.N)
+    ulay = CplxLayout((partition.N, partition.N))
     zlay = simplex_layout(partition.n, partition.d)
 
     def F(x):
@@ -304,7 +300,7 @@ def lpq_weighted_model(N, partition, A):
     if not np.allclose(A, A.T) or np.any(A < 0):
         raise ValueError("weights must be symmetric non-negative")
     E, w = _field_tensor(lpq_field_list(partition, A), N)
-    layout = sun_layout(N)
+    layout = CplxLayout((N, N))
     Esq = (w[:, None, None] * (E @ E)).sum(axis=0)
 
     def gamma(x):
@@ -340,7 +336,7 @@ def verify_casimir_image(N, partition, rng, n_samples=50,
     ambient = sun_ambient(N)
     F = extraction_map(partition)
     params = image_params(partition)
-    ulay = sun_layout(N)
+    ulay = CplxLayout((N, N))
 
     def closed(x):
         point = extract_Z(ulay.from_real(x), partition)

@@ -525,12 +525,6 @@ def _suite_sun(rng, samples):
     return checks
 
 
-def _scalar_wishart_pairs(rng, M):
-    """M draws of sample_wishart_family(1, [2.0, 2.0], rng) as an (M, 2)
-    array of the two 1 x 1 blocks, from the sampler's batched kernel."""
-    return _ginibre_squares(1, [2, 2], rng, M)[:, :, 0, 0].real
-
-
 def _suite_wishart(rng, samples):
     checks = []
     frames = {(2, (3, 3)): 4, (2, (3, 4, 3)): 2, (3, (4, 4)): 2}
@@ -577,7 +571,8 @@ def _suite_wishart(rng, samples):
 
     # scalar reduction: total mass independent of the normalized block
     M = 10000
-    W = _scalar_wishart_pairs(rng, M)
+    # the two 1 x 1 blocks of M sample_wishart_family(1, [2, 2], rng) draws
+    W = _ginibre_squares(1, [2, 2], rng, M)[:, :, 0, 0].real
     S = W[:, 0] + W[:, 1]
     rep = independence_check(S, W[:, :1] / S[:, None])
     _check(checks, "wishart.radial_independence", rep["max_abs_corr"],

@@ -20,8 +20,8 @@ the generic pushforward engine can verify each one.
 import numpy as np
 
 from .calculus import DiffusionModel
-from .errors import DomainError, MatrixDirichletError, NotPsdError
-from .linalg import _align_phases, _hermitize, hermitian_eigen
+from .errors import DomainError, NotPsdError
+from .linalg import _align_phases, _draw_frame, _hermitize, hermitian_eigen
 from .matrix_simplex import (  # noqa: F401 (the direct sampler is re-exported)
     MatrixSimplexPoint, Model2Params, _ginibre_squares, log_gamma_d,
     sample_matrix_dirichlet_direct, simplex_layout)
@@ -162,20 +162,6 @@ class SMZFrame:
         return MatrixSimplexPoint(self.Z, check=False)
 
 
-def smz_stack(n, d):
-    """Coordinate stack of every projected quantity (plus the ambient W)."""
-    return CoordStack([
-        ("W", HermLayout(n + 1, d)),
-        ("S", HermLayout(1, d)),
-        ("lam", RealLayout(d)),
-        ("N", HermLayout(1, d)),
-        ("Ninv", HermLayout(1, d)),
-        ("M", HermLayout(n, d)),
-        ("U", CplxLayout((d, d))),
-        ("Z", HermLayout(n, d)),
-    ])
-
-
 def smz_projection(d, dims, base_frame):
     """Realified W-coordinates -> stacked real coordinates of the frame.
 
@@ -188,7 +174,16 @@ def smz_projection(d, dims, base_frame):
     m = len(dims)
     n = m - 1
     wlay = simplex_layout(m, d)
-    stack = smz_stack(n, d)
+    stack = CoordStack([
+        ("W", HermLayout(m, d)),
+        ("S", HermLayout(1, d)),
+        ("lam", RealLayout(d)),
+        ("N", HermLayout(1, d)),
+        ("Ninv", HermLayout(1, d)),
+        ("M", HermLayout(n, d)),
+        ("U", CplxLayout((d, d))),
+        ("Z", HermLayout(n, d)),
+    ])
     base_U = np.asarray(base_frame.U)
 
     def F(x):
@@ -425,18 +420,10 @@ def sm_operator(frame):
 
 
 def sample_smz_frame(d, dims, rng):
-    """Stationary family draw with a well-separated, FD-friendly frame:
-    radial gaps at least 0.25 and |diag U| at least 0.05, within 200
-    tries."""
-    for _ in range(200):
-        family = sample_wishart_family(d, dims, rng)
-        try:
-            fr = SMZFrame(family, gap_tol=1e-10)
-        except (MatrixDirichletError, np.linalg.LinAlgError):
-            continue
-        if d > 1 and np.min(np.diff(fr.lam)) < 0.25:
-            continue
-        if np.min(np.abs(np.diag(fr.U))) < 0.05:
-            continue
-        return family, fr
-    raise RuntimeError("could not sample a well-separated frame")
+    """Stationary family draw with a well-separated, FD-friendly frame
+    (radial gaps >= 0.25, |diag U| >= 0.05), within 200 tries."""
+    return _draw_frame(
+        lambda: sample_wishart_family(d, dims, rng),
+        lambda family: SMZFrame(family, gap_tol=1e-10),
+        lambda fr: not (d > 1 and np.min(np.diff(fr.lam)) < 0.25
+                        or np.min(np.abs(np.diag(fr.U))) < 0.05))

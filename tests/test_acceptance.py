@@ -51,8 +51,7 @@ def _direct_rows(M, rng):
     """M direct draws at d = 2, dims (3, 3) as rows of real coordinates,
     from one batched call: the same numbers as M sequential
     sample_matrix_dirichlet_direct calls."""
-    Z = _direct_draws(2, [3, 3], rng, M)
-    return Z.view(float).reshape(M, -1)[:, simplex_layout(1, 2)._take]
+    return simplex_layout(1, 2).to_real(_direct_draws(2, [3, 3], rng, M))
 
 
 def _haar_rows(M, rng, part):
@@ -61,8 +60,8 @@ def _haar_rows(M, rng, part):
     in the same C-ordered (M, 4) array, as M sequential haar_unitary and
     extract_Z calls."""
     return np.concatenate([
-        _extract_blocks(_haar_draws(6, rng, K, special=True), part)
-        .view(float).reshape(K, -1).take(simplex_layout(1, 2)._take, axis=1)
+        simplex_layout(1, 2).to_real(
+            _extract_blocks(_haar_draws(6, rng, K, special=True), part))
         for K in _chunk_sizes(M)])
 
 

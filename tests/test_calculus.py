@@ -3,9 +3,9 @@ import pytest
 
 from matrix_dirichlet.calculus import (
     _H2, DiffusionModel, _directional_second, check_boundary_affine_numeric,
-    check_identity, jacobian, pushforward_gamma, pushforward_generator,
-    reversibility_residual)
-from matrix_dirichlet.errors import RankDeficientFit
+    check_identity, grad_log_numeric, jacobian, pushforward_gamma,
+    pushforward_generator, reversibility_residual)
+from matrix_dirichlet.errors import DerivativeError, RankDeficientFit
 from matrix_dirichlet.polar import (
     complex_bm_ambient, polar_projection, sample_polar_frame)
 from matrix_dirichlet.realify import CplxLayout, simplex_layout
@@ -264,3 +264,71 @@ def test_check_identity_relative_residuals():
     assert relative.worst_index == absolute.worst_index == 2
     for d in relative.details.values():
         assert d["worst_index"] == 2
+
+
+def _walled_cube():
+    """The half-line x < 1 with unit co-metric and no drift, and F(x) = x^3,
+    which records every point it is evaluated at."""
+    model = DiffusionModel(1, lambda x: np.eye(1), lambda x: np.zeros(1),
+                           domain_test=lambda x: x[0] < 1.0)
+    points = []
+
+    def F(x):
+        points.append(float(x[0]))
+        return x ** 3
+
+    return model, F, points
+
+
+def test_stencil_quarters_the_step_at_a_wall():
+    model, F, points = _walled_cube()
+    # first difference: the step 1e-5 (1 + |x|) crosses the wall 1e-5 away,
+    # a quarter of it does not
+    x = np.array([1.0 - 1e-5])
+    J = jacobian(F, x, domain_test=model.domain_test)
+    np.testing.assert_allclose(J, [[3.0 * x[0] ** 2]], rtol=1e-8)
+    h = 1e-5 * (1.0 + x[0]) / 4.0
+    np.testing.assert_allclose(points, [x[0] + h, x[0] - h], rtol=1e-15)
+    # second difference: the step 1e-3 (1 + |x|) crosses the wall 1e-3
+    # away; L(x^3) = 6 x
+    points.clear()
+    x = np.array([1.0 - 1e-3])
+    G, L = pushforward_generator(model, F, x)
+    np.testing.assert_allclose(G, [[9.0 * x[0] ** 4]], rtol=1e-8)
+    np.testing.assert_allclose(L, [6.0 * x[0]], rtol=1e-6)
+    # two Jacobian points, F(x), and the four points of the quartered
+    # step: the first point past the wall stopped the full step's stencil
+    assert len(points) == 7
+    assert max(points) < 1.0
+
+
+def test_stencil_raises_after_three_quarterings():
+    model, F, points = _walled_cube()
+    # 1e-5 (1 + |x|) / 64 still crosses a wall 1e-9 away
+    with pytest.raises(DerivativeError):
+        jacobian(F, np.array([1.0 - 1e-9]), domain_test=model.domain_test)
+    # the first difference fits 1e-5 from the wall, the second difference's
+    # 1e-3 (1 + |x|) / 64 does not
+    with pytest.raises(DerivativeError):
+        pushforward_generator(model, F, np.array([1.0 - 1e-5]))
+    assert points and max(points) < 1.0
+
+
+def test_stencil_treats_none_as_outside():
+    # a log-function that is None past the wall, as log P where P = 0
+    calls = []
+
+    def log_f(x):
+        calls.append(float(x[0]))
+        return None if x[0] >= 1.0 else x[0] ** 2
+
+    x = np.array([1.0 - 1.5e-6])
+    np.testing.assert_allclose(grad_log_numeric(log_f, x), [2.0 * x[0]],
+                               rtol=1e-8)
+    # the None at x + h stopped the stencil before x - h; a quarter of the
+    # step fits
+    assert len(calls) == 3 and calls[0] >= 1.0 and max(calls[1:]) < 1.0
+    calls.clear()
+    with pytest.raises(DerivativeError):
+        grad_log_numeric(log_f, np.array([1.0 - 1e-12]))
+    assert len(calls) == 4 and min(calls) >= 1.0

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from matrix_dirichlet.cli import _SAMPLE_CHUNK, main
+from matrix_dirichlet.cli import main
+from matrix_dirichlet.linalg import _DRAW_CHUNK
 from matrix_dirichlet.matrix_simplex import (
     Model1Params, params_to_json, point_to_real, simplex_layout)
 from matrix_dirichlet.wishart import sample_matrix_dirichlet_direct
@@ -139,8 +140,8 @@ def _write_draws_loop(path, d, dims, count, seed):
 
 
 @pytest.mark.parametrize("d,dims,count", [
-    (2, [3, 4, 3], _SAMPLE_CHUNK + 3),
-    (1, [2, 2], 2 * _SAMPLE_CHUNK),
+    (2, [3, 4, 3], _DRAW_CHUNK + 3),
+    (1, [2, 2], 2 * _DRAW_CHUNK),
     (3, [4, 4], 7),
 ])
 def test_sample_csv_bytes_equal_to_single_draw_loop(d, dims, count,

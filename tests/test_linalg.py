@@ -5,7 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from matrix_dirichlet.errors import NotPsdError, SpectralGapError
 from matrix_dirichlet.linalg import (
-    _chunk_sizes, _haar_draws, haar_unitary, hermitian_eigen, sqrtm_psd)
+    _chunk_sizes, _draw_frame, _haar_draws, haar_unitary, hermitian_eigen,
+    sqrtm_psd)
 
 from conftest import random_hermitian, random_hermitian_psd
 
@@ -205,3 +206,23 @@ def test_chunk_sizes():
     assert _chunk_sizes(512) == [512]
     assert _chunk_sizes(5) == [5]
     assert _chunk_sizes(0) == []
+
+
+def test_draw_frame_skips_bad_draws_and_gives_up():
+    def frame(k):
+        if k == 0:
+            raise SpectralGapError("a package error")
+        if k == 1:
+            raise np.linalg.LinAlgError("a linear-algebra error")
+        return -k
+
+    draws = iter(range(10))
+    # draws 0 and 1 build no frame, draw 2 builds one that is not usable
+    assert _draw_frame(lambda: next(draws), frame, lambda fr: fr < -2) \
+        == (3, -3)
+    assert next(draws) == 4
+    # nothing usable: 200 draws, then a RuntimeError
+    draws = iter(range(2, 1000))
+    with pytest.raises(RuntimeError, match="200"):
+        _draw_frame(lambda: next(draws), frame, lambda fr: False)
+    assert next(draws) == 202

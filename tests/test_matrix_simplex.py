@@ -242,15 +242,15 @@ def test_grad_log_matches_entry_loop(n, d, rng):
     invs = [np.linalg.inv(Z) for Z in p.all_blocks()]
     exponents = [rng.uniform(0.5, 3.0, n + 1)] + list(1.0 + np.eye(n + 1))
     for a in exponents:
-        g = np.zeros(layout.n_entries, dtype=complex)
+        g = np.zeros((n, d, d), dtype=complex)
         for k in range(n):
             for i in range(d):
                 for j in range(d):
-                    g[layout.entry_index(k, i, j)] = (
+                    g[k, i, j] = (
                         (a[k] - 1.0) * invs[k][j, i]
                         - (a[n] - 1.0) * invs[n][j, i])
         np.testing.assert_array_equal(matrix_dirichlet_grad_log(a, p),
-                                      layout.grad_to_real(g))
+                                      layout.grad_to_real(g.ravel()))
 
 
 # -- model I ------------------------------------------------------------------
@@ -275,17 +275,15 @@ def test_model1_entry_table_symmetries(rng):
     mp = Model1Params(random_A(rng, n + 1), np.ones(n + 1))
     point = sample_interior(n, d, rng)
     T = gamma_model1_entries(mp, point)
-    layout = simplex_layout(n, d)
     # symmetry of the bilinear form
     np.testing.assert_allclose(T, T.T, atol=1e-12)
     # conjugating both entries conjugates the value (Hermitian coordinates)
+    T6 = T.reshape(n, d, d, n, d, d)
     for p in range(n):
         for q in range(n):
             for (i, j, k, l) in [(0, 1, 1, 0), (0, 1, 0, 1), (1, 1, 0, 1)]:
-                lhs = T[layout.entry_index(p, i, j),
-                        layout.entry_index(q, k, l)]
-                rhs = T[layout.entry_index(p, j, i),
-                        layout.entry_index(q, l, k)]
+                lhs = T6[p, i, j, q, k, l]
+                rhs = T6[p, j, i, q, l, k]
                 assert abs(lhs - np.conj(rhs)) < 1e-12
     # realified co-metric is symmetric psd in the interior
     G = gamma_model1(mp, point)
@@ -415,17 +413,17 @@ def test_model1_boundary_closed_form(rng):
     G = gamma_model1(mp, point)
     for q in range(n + 1):
         inv = np.linalg.inv(blocks[q])
-        g = np.zeros(layout.n_entries, dtype=complex)
+        g = np.zeros((n, d, d), dtype=complex)
         for p in range(n):
             if p == q:
                 for i in range(d):
                     for j in range(d):
-                        g[layout.entry_index(p, i, j)] = inv[j, i]
+                        g[p, i, j] = inv[j, i]
             elif q == n:
                 for i in range(d):
                     for j in range(d):
-                        g[layout.entry_index(p, i, j)] = -inv[j, i]
-        vec = layout.drift_to_entries(G @ layout.grad_to_real(g))
+                        g[p, i, j] = -inv[j, i]
+        vec = layout.drift_to_entries(G @ layout.grad_to_real(g.ravel()))
         for p in range(n):
             got = vec[p * d * d:(p + 1) * d * d].reshape(d, d)
             if q < n:
@@ -505,17 +503,15 @@ def test_model2_entry_table_symmetries(rng):
         mp = Model2Params(A, B, np.ones(n + 1))
         point = sample_interior(n, d, rng)
         T = gamma_model2_entries(mp, point)
-        layout = simplex_layout(n, d)
         np.testing.assert_allclose(T, T.T, atol=1e-12)
         G = gamma_model2(mp, point)
         np.testing.assert_allclose(G, G.T, atol=1e-12)
+        T6 = T.reshape(n, d, d, n, d, d)
         for p in range(n):
             for q in range(n):
                 for (i, j, k, l) in [(0, 1, 1, 0), (0, 1, 0, 1)]:
-                    lhs = T[layout.entry_index(p, i, j),
-                            layout.entry_index(q, k, l)]
-                    rhs = T[layout.entry_index(p, j, i),
-                            layout.entry_index(q, l, k)]
+                    lhs = T6[p, i, j, q, k, l]
+                    rhs = T6[p, j, i, q, l, k]
                     assert abs(lhs - np.conj(rhs)) < 1e-12
 
 
@@ -547,14 +543,14 @@ def test_model2_boundary_closed_form(rng):
     G = gamma_model2(mp, point)
     for q in range(n + 1):
         inv = np.linalg.inv(blocks[q])
-        g = np.zeros(layout.n_entries, dtype=complex)
+        g = np.zeros((n, d, d), dtype=complex)
         for p in range(n):
             sgn = 1.0 if p == q else (-1.0 if q == n else 0.0)
             if sgn != 0.0:
                 for i in range(d):
                     for j in range(d):
-                        g[layout.entry_index(p, i, j)] = sgn * inv[j, i]
-        vec = layout.drift_to_entries(G @ layout.grad_to_real(g))
+                        g[p, i, j] = sgn * inv[j, i]
+        vec = layout.drift_to_entries(G @ layout.grad_to_real(g.ravel()))
         for p in range(n):
             got = vec[p * d * d:(p + 1) * d * d].reshape(d, d)
             expect = -(A @ blocks[p] + blocks[p] @ A)

@@ -9,7 +9,7 @@ from matrix_dirichlet.matrix_simplex import (
 from matrix_dirichlet.polar import (
     DegenerateDirichletParams, PolarFrame, complex_bm_ambient,
     closed_form_polar_system, diagonal_point_forms, invariance_transport,
-    polar_projection, polar_stack, sample_polar_frame,
+    polar_projection, sample_polar_frame,
     scalar_projection_params, scalar_projection_v)
 from matrix_dirichlet.realify import CplxLayout, HermLayout
 from matrix_dirichlet.simplex import drift_simplex, gamma_simplex, in_simplex
@@ -24,7 +24,7 @@ def test_complex_bm_ambient():
     np.testing.assert_allclose(model.gamma(x), np.eye(2 * d * d))
     np.testing.assert_allclose(model.drift(x), 0.0)
     # entry table: Gamma(m, m) = 0 and Gamma(m, conj m) = 2 Id
-    T = layout.gamma_to_entries(model.gamma(x))
+    T = layout.gamma_to_entries(model.gamma(x), layout)
     m = d * d
     np.testing.assert_allclose(T[:m, :m], 0.0, atol=1e-14)
     np.testing.assert_allclose(T[:m, m:], 2.0 * np.eye(m), atol=1e-14)

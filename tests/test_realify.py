@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,13 +30,14 @@ def test_herm_roundtrip(n, d, seed):
     assert (layout.from_real(X).tobytes()
             == np.array([layout.from_real(y) for y in X]).tobytes())
     assert layout.from_real(X[None]).shape == (1, 3, n, d, d)
-    # every coordinate sits where the index helpers say
-    for k, Z in enumerate(Zs):
+    # every coordinate sits where its name says
+    named = dict(zip(layout.coordinate_names(), x))
+    for k, Z in enumerate(Zs, 1):
         for i in range(d):
-            assert x[layout.diag_index(k, i)] == Z[i, i].real
+            assert named["Z%d_d%d" % (k, i)] == Z[i, i].real
         for (i, j) in layout.pairs:
-            assert x[layout.re_index(k, i, j)] == Z[i, j].real
-            assert x[layout.im_index(k, i, j)] == Z[i, j].imag
+            assert named["Z%d_re%d%d" % (k, i, j)] == Z[i, j].real
+            assert named["Z%d_im%d%d" % (k, i, j)] == Z[i, j].imag
     # the index maps agree with the coefficient matrices they replace
     np.testing.assert_array_equal(
         np.asarray(back).ravel(), layout.E @ x)
@@ -60,6 +63,29 @@ def test_herm_to_real_of_a_stack(n, d, rng):
     H[(Ellipsis,) + diag] = Z[(Ellipsis,) + diag].real
     np.testing.assert_array_equal(layout.from_real(X), H)
     assert layout.to_real(H).tobytes() == X.tobytes()
+
+
+def test_herm_from_real_fills_only_defined_slots():
+    layout = HermLayout(1, 2)
+    Z = layout.from_real([-1.0, 0.5, 0.2, 0.3])[0]
+    # the diagonal is real: its imaginary parts are +0.0, not -0.0
+    assert not np.signbit(Z.diagonal().imag).any()
+    # a non-finite coordinate reaches only the entries it defines, and
+    # without a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (np.nan, np.inf, -np.inf):
+            Z = HermLayout(2, 2).from_real([bad, 0.5, 0.2, 0.3,
+                                            1.0, 2.0, 0.1, -0.4])
+            assert np.isfinite(Z.ravel()[1:]).all()
+            assert Z[0, 0, 0].imag == 0.0
+            np.testing.assert_array_equal(Z[0, 0, 0].real, bad)
+            Z = HermLayout(2, 2).from_real([0.4, 0.5, 0.2, bad,
+                                            1.0, 2.0, 0.1, -0.4])
+            assert np.isfinite(Z[:, [0, 1], [0, 1]]).all()
+            assert np.isfinite(Z[0].real).all() and np.isfinite(Z[1]).all()
+            np.testing.assert_array_equal(Z[0, [0, 1], [1, 0]].imag,
+                                          [bad, -bad])
 
 
 def test_herm_to_real_rejects_other_shapes():
@@ -89,7 +115,7 @@ def test_shared_layout_is_read_only():
         layout.E[0, 0] = 2.0
     with pytest.raises(ValueError):
         layout.D[0, 0] = 2.0
-    for arr in (layout._take, layout._put, layout._sign):
+    for arr in (layout._take, layout._fill, layout._put, layout._sign):
         with pytest.raises(ValueError):
             arr[0] = 1
 
@@ -117,7 +143,7 @@ def test_complex_bm_realifies_to_independent_parts():
     G = layout.gamma_to_real(T)
     np.testing.assert_allclose(G, np.eye(2), atol=1e-14)
     # and back
-    T2 = layout.gamma_to_entries(G)
+    T2 = layout.gamma_to_entries(G, layout)
     np.testing.assert_allclose(T2, T, atol=1e-14)
 
 
@@ -125,7 +151,7 @@ def test_gamma_conversion_roundtrip_herm(rng):
     layout = HermLayout(1, 3)
     G = rng.standard_normal((layout.real_dim, layout.real_dim))
     G = G + G.T
-    T = layout.gamma_to_entries(G)
+    T = layout.gamma_to_entries(G, layout)
     np.testing.assert_allclose(layout.gamma_to_real(T), G, atol=1e-12)
 
 
@@ -133,14 +159,14 @@ def test_herm_drift_conversion(rng):
     layout = HermLayout(1, 2)
     # L on entries must be Hermitian-consistent: L(z_ji) = conj(L(z_ij))
     L = np.zeros(4, dtype=complex)
-    L[layout.entry_index(0, 0, 0)] = 1.5
-    L[layout.entry_index(0, 1, 1)] = -0.5
-    L[layout.entry_index(0, 0, 1)] = 2.0 + 1.0j
-    L[layout.entry_index(0, 1, 0)] = 2.0 - 1.0j
+    block = L.reshape(1, 2, 2)
+    block[0, 0, 0] = 1.5
+    block[0, 1, 1] = -0.5
+    block[0, 0, 1] = 2.0 + 1.0j
+    block[0, 1, 0] = 2.0 - 1.0j
     l_real = layout.drift_to_real(L)
-    assert l_real[layout.diag_index(0, 0)] == 1.5
-    assert l_real[layout.re_index(0, 0, 1)] == 2.0
-    assert l_real[layout.im_index(0, 0, 1)] == 1.0
+    assert dict(zip(layout.coordinate_names(), l_real)) == {
+        "Z1_d0": 1.5, "Z1_d1": -0.5, "Z1_re01": 2.0, "Z1_im01": 1.0}
     # inverse direction
     np.testing.assert_allclose(layout.drift_to_entries(l_real), L, atol=1e-14)
 
@@ -186,14 +212,22 @@ def test_coord_stack_blocks(rng):
 
 @pytest.mark.parametrize("n, d", [(1, 1), (2, 2), (3, 3), (1, 4)])
 def test_coordinate_names_follow_layout_indices(n, d):
+    # blocks whose every entry is known by its place: Re Z^(k)_ij reads
+    # 1000 k + 100 i + 10 j + 1 and Im Z^(k)_ij, i < j, the same plus 1
     layout = HermLayout(n, d)
+    k, i, j = np.indices((n, d, d))
+    code = 1000 * k + 100 * i + 10 * j + 1.0
+    Z = code + 1j * (code + 1)
+    x = layout.to_real(Z)  # reads only each diagonal and upper triangle
     names = layout.coordinate_names()
-    assert len(names) == layout.real_dim
-    expect = {}
-    for k in range(n):
-        for i in range(d):
-            expect[layout.diag_index(k, i)] = "Z%d_d%d" % (k + 1, i)
-            for j in range(i + 1, d):
-                expect[layout.re_index(k, i, j)] = "Z%d_re%d%d" % (k + 1, i, j)
-                expect[layout.im_index(k, i, j)] = "Z%d_im%d%d" % (k + 1, i, j)
-    assert names == [expect[c] for c in range(layout.real_dim)]
+    assert len(set(names)) == len(names) == layout.real_dim
+    for name, value in zip(names, x):
+        block, part = name.split("_")
+        k = int(block[1:]) - 1
+        if part[0] == "d":
+            i = j = int(part[1])
+            imag = False
+        else:
+            assert part[:2] in ("re", "im"), name
+            i, j, imag = int(part[2]), int(part[3]), part[:2] == "im"
+        assert value == code[k, i, j] + imag, name

@@ -7,12 +7,13 @@ from matrix_dirichlet.errors import OffGroupError
 from matrix_dirichlet.linalg import _haar_draws, _hermitize, haar_unitary
 from matrix_dirichlet.matrix_simplex import (
     drift_model1, drift_model1_entries, gamma_model1, gamma_model1_entries)
+from matrix_dirichlet.realify import CplxLayout
 from matrix_dirichlet.sun import (
     Partition, SUNState, _brownian_path, _extract_blocks, _step_basis,
     algebra_element, casimir_field_list, casimir_fields_apply, extract_Z,
     extraction_map, fields_image_entries, image_params, lemma_first_action,
     lemma_second_action, lpq_field_list, lpq_weighted_model, sun_ambient,
-    sun_brownian_step, sun_layout, verify_casimir_image)
+    sun_brownian_step, verify_casimir_image)
 
 
 def extract_Z_all(u, partition):
@@ -24,11 +25,11 @@ def extract_Z_all(u, partition):
 
 def test_sun_ambient_hand_values():
     N = 2
-    layout = sun_layout(N)
+    layout = CplxLayout((N, N))
     model = sun_ambient(N)
     x = layout.to_real(np.eye(N, dtype=complex))
     G = model.gamma(x)
-    T = layout.gamma_to_entries(G)
+    T = layout.gamma_to_entries(G, layout)
     m = N * N
     # Gamma(u_11, conj u_11) = 1/4 - 1/8
     assert abs(T[0, m + 0] - 0.125) < 1e-12
@@ -44,7 +45,7 @@ def test_sun_ambient_hand_values():
 
 def test_sun_ambient_off_group():
     model = sun_ambient(2)
-    layout = sun_layout(2)
+    layout = CplxLayout((2, 2))
     with pytest.raises(OffGroupError):
         model.gamma(layout.to_real(2.0 * np.eye(2, dtype=complex)))
     with pytest.raises(OffGroupError):
@@ -57,7 +58,7 @@ def test_casimir_assembly_oracle(rng):
     # summing the squared fields with the Casimir weights reconstructs the
     # closed-form co-metric and drift of the group entries
     N = 3
-    layout = sun_layout(N)
+    layout = CplxLayout((N, N))
     model = sun_ambient(N)
     for _ in range(5):
         u = haar_unitary(N, rng, special=True)
@@ -136,7 +137,7 @@ def test_verify_casimir_image_negative_control(rng):
     params = image_params(part)
     bad = image_params(part)
     bad.a = bad.a + 1.0
-    layout = sun_layout(N)
+    layout = CplxLayout((N, N))
 
     def closed(x):
         point = extract_Z(layout.from_real(x), part)
@@ -205,7 +206,7 @@ def test_lpq_weighted_model_pushforward(rng):
     ambient = lpq_weighted_model(N, part, A)
     F = extraction_map(part)
     params = image_params(part, A)
-    layout = sun_layout(N)
+    layout = CplxLayout((N, N))
 
     def closed(x):
         point = extract_Z(layout.from_real(x), part)
@@ -233,7 +234,7 @@ def test_brownian_step_one_step_covariance(rng):
     # empirical covariance of one Euler step at Id matches 2 Gamma dt;
     # includes the degenerate zero-variance direction Re(u_11)
     N, dt, M = 2, 1e-3, 100000
-    layout = sun_layout(N)
+    layout = CplxLayout((N, N))
     model = sun_ambient(N)
     x0 = layout.to_real(np.eye(N, dtype=complex))
     target = 2.0 * model.gamma(x0) * dt

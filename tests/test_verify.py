@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from matrix_dirichlet.calculus import DiffusionModel
+from matrix_dirichlet.matrix_simplex import _ginibre_squares
 from matrix_dirichlet.realify import CoordStack, RealLayout
 from matrix_dirichlet.verify import (
-    SUITE_NAMES, _check, _check_table, _reversibility_check,
-    _scalar_wishart_pairs, format_report, independence_check, moment_test,
-    run_suite)
+    SUITE_NAMES, _check, _check_table, _reversibility_check, format_report,
+    independence_check, moment_test, run_suite)
 from matrix_dirichlet.wishart import sample_wishart_family
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -144,7 +144,8 @@ def test_casimir_image_judges_gamma_by_its_own_tolerance(monkeypatch):
 def test_scalar_wishart_pairs_match_sampler_loop():
     M = 50
     rngs = [np.random.Generator(np.random.Philox(4)) for _ in range(2)]
-    W = _scalar_wishart_pairs(rngs[0], M)
+    # the draws of the radial independence check of the wishart suite
+    W = _ginibre_squares(1, [2, 2], rngs[0], M)[:, :, 0, 0].real
     loop = np.array([sample_wishart_family(1, [2.0, 2.0], rngs[1]).W[:, 0, 0]
                      for _ in range(M)])
     assert W.shape == (M, 2)

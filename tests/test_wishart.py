@@ -5,8 +5,8 @@ from scipy.stats import gamma as gamma_dist
 
 from matrix_dirichlet.calculus import (
     jacobian, pushforward_generator, reversibility_residual)
-from matrix_dirichlet.cli import _SAMPLE_CHUNK
 from matrix_dirichlet.errors import DomainError
+from matrix_dirichlet.linalg import _DRAW_CHUNK
 from matrix_dirichlet.matrix_simplex import (
     _direct_draws, _ginibre_squares, drift_model2_entries,
     gamma_model2_entries)
@@ -36,7 +36,7 @@ def test_ambient_block_independence(rng):
     layout = simplex_layout(2, d)
     fam = sample_wishart_family(d, [3, 4], rng)
     G = model.gamma(layout.to_real(fam.W))
-    T = layout.gamma_to_entries(G)
+    T = layout.gamma_to_entries(G, layout)
     np.testing.assert_allclose(T[:d * d, d * d:], 0.0, atol=1e-12)
 
 
@@ -276,8 +276,8 @@ def _direct_draw_loop(d, dims, rng):
 
 @given(d=st.integers(1, 3), extra=st.lists(st.integers(0, 4), min_size=2,
                                            max_size=4, unique=True),
-       K=st.sampled_from([1, 2, _SAMPLE_CHUNK - 1, _SAMPLE_CHUNK,
-                          _SAMPLE_CHUNK + 1]),
+       K=st.sampled_from([1, 2, _DRAW_CHUNK - 1, _DRAW_CHUNK,
+                          _DRAW_CHUNK + 1]),
        seed=st.integers(0, 2**31))
 @settings(max_examples=12, deadline=None)
 def test_batched_draws_bitwise_equal_to_single_call_loop(d, extra, K, seed):
