@@ -42,84 +42,66 @@ class DiffusionModel:
 _STENCIL_BATCH = 16  # stencil points per batched closed-form evaluation
 
 
-def _coefficient_form(D, points, gamma_table, drift_table):
+def _coefficient_form(dim, gamma, drift):
     """Evaluators (gamma, drift) of one point x, (dim,), of the closed
-    forms with entry tables gamma_table(points(X)) and
-    drift_table(points(X)) of stacks of points X (S, dim), through their
-    coefficient form Gamma(x) = C0 + C1 x + C2 (x (x) x), b(x) = b0 + B1 x.
-    D (dim, entries) maps entries to real coordinates, x = Re(D entries),
-    as in `realify`.  Neither evaluator checks the domain.
+    forms gamma(X), (S, dim, dim), and drift(X), (S, dim), of stacks of
+    real coordinates X, (S, dim), through their coefficient form
+    Gamma(x) = C0 + C1 x + C2 (x (x) x), b(x) = b0 + B1 x.  Neither
+    evaluator checks the domain.
 
     The coefficients are taken once, here, by differences at the stencil
     0, +-e_i, e_i + e_j (exact up to roundoff for a quadratic Gamma and
-    an affine b), _STENCIL_BATCH points at a time, in entry space; only
-    non-zero entries are converted to real coordinates and only non-zero
-    coefficients kept.  Monomial p (dim + 1) + q is the product of
-    entries p <= q of (1, x); the drift's monomial i + 1 indexes (1, x).
-    Gamma and b then cost one gather of monomials and one np.bincount
-    each, which sums in a fixed order, so the bits do not depend on the
-    BLAS thread count.  Gamma's upper triangle (np.triu_indices order)
-    fills both halves through one more gather: it is exactly symmetric.
+    an affine b), _STENCIL_BATCH points at a time; only the non-zero
+    coefficients of Gamma's upper triangle are kept.  Monomial
+    p (dim + 1) + q is the product of entries p <= q of (1, x); the
+    drift's monomial i + 1 indexes (1, x).  Gamma and b then cost one
+    gather of monomials and one np.bincount each, which sums in a fixed
+    order, so the bits do not depend on the BLAS thread count.  Gamma's
+    upper triangle (np.triu_indices order) fills both halves through one
+    more gather: it is exactly symmetric.
     """
-    dim = D.shape[0]
     m = dim + 1
     n_upper = dim * m // 2
     eye = np.eye(dim)
-    # Gamma(x_a, x_b) = Re sum_ef D_ae T_ef D_bf.  Column e of D holds at
-    # most two real coordinates (a zero weight pads it to two).
-    coord = np.argsort(D == 0, axis=0, kind="stable")[:2].T
-    weight = D[coord, np.arange(D.shape[1])[:, None]]
+    iu = np.triu_indices(dim)
     parts = []
 
-    def keep(T, monomial):
-        # the real upper-triangle coefficients of the entry tables T, one
-        # table per monomial, from their non-zero entries
-        k, e, f = np.nonzero(T)
-        a = coord[e][:, :, None]
-        b = coord[f][:, None, :]
-        value = (weight[e][:, :, None] * T[k, e, f][:, None, None]
-                 * weight[f][:, None, :]).real
-        upper = a <= b
-        # position of (a, b), a <= b, in np.triu_indices(dim)
-        slot = a * dim - a * (a - 1) // 2 + b - a
-        coef = np.bincount((k[:, None, None] * n_upper + slot)[upper],
-                           value[upper], len(T) * n_upper)
-        row, slot = np.divmod(np.flatnonzero(coef), n_upper)
-        parts.append((slot, monomial[row], coef[row * n_upper + slot]))
+    def keep(G, monomial):
+        # G's non-zero upper-triangle coefficients, one table per monomial
+        coef = G[:, iu[0], iu[1]]
+        row, slot = np.nonzero(coef)
+        parts.append((slot, monomial[row], coef[row, slot]))
 
     # 0 and +-e_i: the constant, linear and square terms
-    T0 = gamma_table(points(np.zeros((1, dim))))
-    keep(T0, np.zeros(1, dtype=np.intp))
-    unit = np.empty((dim,) + T0.shape[1:], dtype=T0.dtype)  # T(e_i) - T(0)
+    G0 = gamma(np.zeros((1, dim)))
+    keep(G0, np.zeros(1, dtype=np.intp))
+    unit = np.empty((dim, dim, dim))  # Gamma(e_i) - Gamma(0)
     for start in range(0, dim, _STENCIL_BATCH):
         i = np.arange(start, min(start + _STENCIL_BATCH, dim))
-        T = gamma_table(points(np.concatenate([eye[i], -eye[i]])))
-        Tp, Tm = T[:i.size], T[i.size:]
-        keep(0.5 * (Tp - Tm), i + 1)
-        keep(0.5 * (Tp + Tm) - T0, (i + 1) * (m + 1))
-        unit[i] = Tp - T0
+        G = gamma(np.concatenate([eye[i], -eye[i]]))
+        Gp, Gm = G[:i.size], G[i.size:]
+        keep(0.5 * (Gp - Gm), i + 1)
+        keep(0.5 * (Gp + Gm) - G0, (i + 1) * (m + 1))
+        unit[i] = Gp - G0
     # e_i + e_j: the cross terms
     pi, pj = np.triu_indices(dim, 1)
     for start in range(0, pi.size, _STENCIL_BATCH):
         batch = slice(start, start + _STENCIL_BATCH)
         p, q = pi[batch], pj[batch]
-        T = gamma_table(points(eye[p] + eye[q]))
-        T -= T0
-        T -= unit[p]
-        T -= unit[q]
-        keep(T, (p + 1) * m + q + 1)
+        G = gamma(eye[p] + eye[q]) - G0
+        G -= unit[p]
+        G -= unit[q]
+        keep(G, (p + 1) * m + q + 1)
     g_slot, g_mono, g_coef = (np.concatenate(col) for col in zip(*parts))
-    l = drift_table(points(np.concatenate([np.zeros((1, dim)), eye, -eye])))
-    b = np.array([(D @ row).real for row in l])
+    b = drift(np.concatenate([np.zeros((1, dim)), eye, -eye]))
     b = np.concatenate([b[:1], 0.5 * (b[1:m] - b[m:])])
     b_mono, b_slot = np.nonzero(b)
     b_coef = b[b_mono, b_slot]
     # slots[i, j]: position of (min(i, j), max(i, j)) in np.triu_indices
-    iu = np.triu_indices(dim)
     slots = np.empty((dim, dim), dtype=np.intp)
     slots[iu] = slots.T[iu] = np.arange(n_upper)
 
-    def gamma(x):
+    def form_gamma(x):
         x1 = np.empty(m)
         x1[0] = 1.0
         x1[1:] = x
@@ -127,7 +109,7 @@ def _coefficient_form(D, points, gamma_table, drift_table):
         terms *= g_coef
         return np.bincount(g_slot, terms, n_upper)[slots]
 
-    def drift(x):
+    def form_drift(x):
         x1 = np.empty(m)
         x1[0] = 1.0
         x1[1:] = x
@@ -135,7 +117,7 @@ def _coefficient_form(D, points, gamma_table, drift_table):
         terms *= b_coef
         return np.bincount(b_slot, terms, dim)
 
-    return gamma, drift
+    return form_gamma, form_drift
 
 
 class VerificationReport:

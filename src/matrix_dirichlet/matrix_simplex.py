@@ -28,13 +28,13 @@ drift affine in the real coordinates x, so the models that `model1` and
 
     Gamma(x) = C0 + C1 x + C2 (x (x) x),    b(x) = b0 + B1 x,
 
-stored sparse.  Each model build takes it from the same kernels with the
-builder in `calculus` that the scalar model of `simplex` also uses: exact
-differences at the stencil 0, +-e_i, e_i + e_j, evaluated in batches of
-stacked points, 1 + 2 dim + dim (dim - 1) / 2 evaluations, about 1 ms at
-state dimension 4 and 30 ms (model I) or 80 ms (model II) at 27.  The
-domain test of both is one LAPACK Cholesky call on the block-diagonal
-matrix of the n + 1 blocks, filled from x by cached index maps.
+stored sparse.  Each model build takes it from the same kernels, in real
+coordinates, with the builder in `calculus` that the scalar model of
+`simplex` also uses: 1 + 2 dim + dim (dim - 1) / 2 evaluations at the
+stencil 0, +-e_i, e_i + e_j, about 0.3 ms at state dimension 4 and 17 ms
+(model I) or 30 ms (model II) at 27, at one BLAS thread.  The domain test
+of both is one LAPACK Cholesky call on the block-diagonal matrix of the
+n + 1 blocks, filled from x by cached index maps.
 """
 
 import functools
@@ -313,8 +313,7 @@ def drift_model1(params, point):
 def model1(params, d):
     """Model I over the real coordinates of n = params.n blocks of size d,
     integrated through its quadratic coefficient form."""
-    return _coefficient_model(simplex_layout(params.n, d),
-                              *_model1_tables(params, d))
+    return _coefficient_model(params, d)
 
 
 def ellipticity_model1(params, d, sampler, n_samples=20):
@@ -458,17 +457,16 @@ def _model2_n(params, n):
 def model2(params, n=None):
     """Model II over the real coordinates of params.n blocks of size
     params.d, integrated through its quadratic coefficient form."""
-    return _coefficient_model(simplex_layout(_model2_n(params, n), params.d),
-                              *_model2_tables(params))
+    _model2_n(params, n)
+    return _coefficient_model(params, params.d)
 
 
 # -- quadratic coefficient form -----------------------------------------------
 
-def _closed_form_model(params, d):
-    """Model I or II at block size d evaluating its closed forms at each
-    call, with the bits of gamma_model1, drift_model1 (or gamma_model2,
-    drift_model2) and the parameter tables built once; the coefficient
-    form that model1 and model2 integrate is taken from the same kernels.
+def _real_kernels(params, d):
+    """Model I or II at block size d: the number dim of real coordinates,
+    the closed forms as kernels (gamma, drift) of stacks of points
+    (S, dim), with the parameter tables built once, and the domain test.
     Model II fixes its block size: d must equal params.d."""
     if isinstance(params, Model1Params):
         gamma_table, drift_table = _model1_tables(params, d)
@@ -480,26 +478,31 @@ def _closed_form_model(params, d):
     n = params.n
     layout = simplex_layout(n, d)
 
-    def gamma(x):
-        return layout.gamma_to_real(gamma_table(layout.from_real(x)[None])[0])
+    def gamma(X):
+        return layout.gamma_to_real(gamma_table(layout.from_real(X)))
 
-    def drift(x):
-        return layout.drift_to_real(drift_table(layout.from_real(x)[None])[0])
+    def drift(X):
+        return layout.drift_to_real(drift_table(layout.from_real(X)))
 
-    return DiffusionModel(layout.real_dim, gamma, drift,
-                          domain_test=lambda x: in_matrix_simplex(x, n, d))
+    return layout.real_dim, gamma, drift, lambda x: in_matrix_simplex(x, n, d)
 
 
-def _coefficient_model(layout, gamma_table, drift_table):
-    """DiffusionModel over the real coordinates of layout of the closed
-    forms with entry tables gamma_table and drift_table, integrated
-    through their coefficient form (see calculus._coefficient_form)."""
-    n, d = layout.n, layout.d
-    gamma, drift = _coefficient_form(layout.D, layout.from_real, gamma_table,
-                                     drift_table)
-    return DiffusionModel(layout.real_dim, lambda x: gamma(x),
-                          lambda x: drift(x),
-                          domain_test=lambda x: in_matrix_simplex(x, n, d))
+def _closed_form_model(params, d):
+    """Model I or II at block size d evaluating its closed forms at each
+    call, with the bits of gamma_model1, drift_model1 (or gamma_model2,
+    drift_model2): what the calculus oracle checks."""
+    dim, gamma, drift, domain_test = _real_kernels(params, d)
+    return DiffusionModel(dim, lambda x: gamma(np.asarray(x)[None])[0],
+                          lambda x: drift(np.asarray(x)[None])[0], domain_test)
+
+
+def _coefficient_model(params, d):
+    """Model I or II at block size d integrated through the coefficient
+    form of the same kernels (see calculus._coefficient_form)."""
+    dim, gamma, drift, domain_test = _real_kernels(params, d)
+    gamma, drift = _coefficient_form(dim, gamma, drift)
+    return DiffusionModel(dim, lambda x: gamma(x), lambda x: drift(x),
+                          domain_test)
 
 
 # -- spectrum identity --------------------------------------------------------

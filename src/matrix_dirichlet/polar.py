@@ -52,7 +52,6 @@ class PolarFrame:
         self.m = m
         self.d = d
         self.H = _hermitize(H)
-        self.eig = eig
         self.lam = sq.lambdas
         self.U = sq.U
         self.N = _hermitize(self.U @ np.diag(self.lam) @ self.U.conj().T)

@@ -40,7 +40,7 @@ class Realifier:
     D = None
 
     def gamma_to_real(self, T):
-        """Real co-metric from an entry-space Gamma table."""
+        """Real co-metric of an entry-space Gamma table or of a stack."""
         return (self.D @ np.asarray(T) @ self.D.T).real
 
     def gamma_to_entries(self, G, other):
@@ -48,7 +48,8 @@ class Realifier:
         return self.E @ np.asarray(G) @ other.E.T
 
     def drift_to_real(self, l_entries):
-        return (self.D @ np.asarray(l_entries)).real
+        """Real drift of an entry-space drift or of a stack (S, entries)."""
+        return (np.asarray(l_entries) @ self.D.T).real
 
     def drift_to_entries(self, l_real):
         return self.E @ np.asarray(l_real)

@@ -15,8 +15,7 @@ weighted radial/angular product) project onto it.
 The closed forms gamma_simplex and drift_simplex, one-point views of the
 kernel pair _scalar_tables, are what the calculus oracle checks.
 `scalar_model` integrates through the coefficient form that the builder in
-`calculus` takes from the same kernels, as models I and II do, with the
-identity as the map from entries to real coordinates.
+`calculus` takes from the same kernels, as models I and II do.
 """
 
 import itertools
@@ -98,7 +97,7 @@ def _scalar_tables(params):
 
 def _checked_full_coordinates(x):
     xf = full_coordinates(x)
-    if (xf < -1e-12).any():
+    if not (xf >= -1e-12).all():  # NaN fails each >=
         raise DomainError("point outside the simplex")
     return xf
 
@@ -131,10 +130,12 @@ def scalar_model(params, margin=1e-12):
     if not 1e-12 <= margin < np.inf:
         raise ValueError("margin must be finite and at least 1e-12, got %r"
                          % (margin,))
+    def full(X):
+        return np.concatenate([X, 1.0 - X.sum(axis=1, keepdims=True)], 1)
+
     gamma, drift = _coefficient_form(
-        np.eye(params.n),
-        lambda X: np.concatenate([X, 1.0 - X.sum(axis=1, keepdims=True)], 1),
-        *params._tables)
+        params.n, lambda X: params._tables[0](full(X)),
+        lambda X: params._tables[1](full(X)))
     return DiffusionModel(params.n, lambda x: gamma(x), lambda x: drift(x),
                           domain_test=lambda x: in_simplex(x, margin))
 

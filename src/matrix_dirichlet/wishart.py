@@ -143,12 +143,11 @@ class SMZFrame:
         S = _hermitize(family.W.sum(axis=0))
         if np.min(np.linalg.eigvalsh(S)) <= 0:
             raise NotPsdError("S = sum W must be positive definite")
-        base = hermitian_eigen(S, gap_tol=gap_tol)
+        eig = hermitian_eigen(S, gap_tol=gap_tol).sqrt_frame()
         self.S = S
-        self.eig = base.sqrt_frame()          # lambdas = sqrt eigenvalues
-        self.lam = self.eig.lambdas
-        self.U = self.eig.U
-        self.V = self.eig.projectors
+        self.lam = eig.lambdas  # the square roots of S's eigenvalues
+        self.U = eig.U
+        self.V = eig.projectors
         Ustar = self.U.conj().T
         self.Nmat = _hermitize(self.U @ np.diag(self.lam) @ Ustar)
         self.Ninv = _hermitize(self.U @ np.diag(1.0 / self.lam) @ Ustar)

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from matrix_dirichlet.calculus import (
-    _H2, DiffusionModel, _directional_second, check_boundary_affine_numeric,
-    check_identity, grad_log_numeric, jacobian, pushforward_gamma,
-    pushforward_generator, reversibility_residual)
+    _H2, _STENCIL_BATCH, DiffusionModel, _coefficient_form,
+    _directional_second, check_boundary_affine_numeric, check_identity,
+    grad_log_numeric, jacobian, pushforward_gamma, pushforward_generator,
+    reversibility_residual)
 from matrix_dirichlet.errors import DerivativeError, RankDeficientFit
 from matrix_dirichlet.polar import (
     complex_bm_ambient, polar_projection, sample_polar_frame)
@@ -332,3 +333,35 @@ def test_stencil_treats_none_as_outside():
     with pytest.raises(DerivativeError):
         grad_log_numeric(log_f, np.array([1.0 - 1e-12]))
     assert len(calls) == 4 and min(calls) >= 1.0
+
+
+@pytest.mark.parametrize("dim", [1, 4, 17, 23])
+def test_coefficient_form_of_dense_quadratic_kernels(dim, rng):
+    # dense symmetric C0, C1_i and C2_ij and an affine drift, as kernels of
+    # stacks of points; at dim 17 and 23 both stencil loops take more than
+    # one batch of _STENCIL_BATCH points
+    def sym(shape):
+        C = rng.standard_normal(shape + (dim, dim))
+        return C + C.swapaxes(-1, -2)
+
+    C0, C1, C2 = sym(()), sym((dim,)), sym((dim, dim))
+    b0, B1 = rng.standard_normal(dim), rng.standard_normal((dim, dim))
+    sizes = []
+
+    def gamma(X):
+        sizes.append(len(X))
+        return (C0 + np.einsum("si,iab->sab", X, C1)
+                + np.einsum("si,sj,ijab->sab", X, X, C2))
+
+    def drift(X):
+        return b0 + X @ B1.T
+
+    form_gamma, form_drift = _coefficient_form(dim, gamma, drift)
+    assert max(sizes) <= 2 * _STENCIL_BATCH
+    for x in rng.uniform(-1.0, 1.0, (5, dim)):
+        for got, want in ((form_gamma(x), gamma(x[None])[0]),
+                          (form_drift(x), drift(x[None])[0])):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        G = form_gamma(x)
+        assert G.tobytes() == G.T.tobytes()

@@ -20,8 +20,6 @@ from matrix_dirichlet.sde import SimConfig, simulate
 from matrix_dirichlet.simplex import (
     ScalarModelParams, drift_simplex, gamma_simplex)
 
-from conftest import random_hermitian
-
 
 def random_A(rng, m, low=0.3, high=2.0):
     A = rng.uniform(low, high, (m, m))

@@ -171,6 +171,18 @@ def test_herm_drift_conversion(rng):
     np.testing.assert_allclose(layout.drift_to_entries(l_real), L, atol=1e-14)
 
 
+@pytest.mark.parametrize("layout", [HermLayout(2, 3), CplxLayout((2, 3))],
+                         ids=["herm", "cplx"])
+def test_drift_to_real_of_a_stack_equals_single_conversions(layout, rng):
+    K = 7
+    L = (rng.standard_normal((K, layout.n_entries))
+         + 1j * rng.standard_normal((K, layout.n_entries)))
+    stacked = layout.drift_to_real(L)
+    assert stacked.shape == (K, layout.real_dim)
+    for k in range(K):
+        assert stacked[k].tobytes() == layout.drift_to_real(L[k]).tobytes()
+
+
 def test_herm_grad_chain(rng):
     # f(Z) = Re trace(C Z) has entry-derivatives df/dZ_ij = C_ji (C Hermitian)
     d = 3

@@ -4,7 +4,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from matrix_dirichlet.calculus import (
     pushforward_generator, reversibility_residual)
@@ -273,7 +273,7 @@ def _in_simplex_ref(x, margin=0.0):
 
 def _gamma_simplex_ref(params, x):
     xf = _full_coordinates_ref(x)
-    if np.any(xf < -1e-12):
+    if not np.all(xf >= -1e-12):  # NaN fails each >=
         raise DomainError("point outside the simplex")
     n = params.n
     A = params.A
@@ -288,7 +288,7 @@ def _gamma_simplex_ref(params, x):
 
 def _drift_simplex_ref(params, x):
     xf = _full_coordinates_ref(x)
-    if np.any(xf < -1e-12):
+    if not np.all(xf >= -1e-12):  # NaN fails each >=
         raise DomainError("point outside the simplex")
     n = params.n
     A = params.A
@@ -356,6 +356,8 @@ def test_closed_forms_bitwise_equal_to_loops(n, seed, kind):
                   min_size=1, max_size=5),
        seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=200, deadline=None)
+@example(x=[np.inf, np.nan], seed=0)
+@example(x=[np.nan, 0.1], seed=0)
 def test_closed_forms_bitwise_equal_on_any_floats(x, seed):
     gen = np.random.Generator(np.random.Philox(seed))
     x = np.array(x)

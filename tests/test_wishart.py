@@ -16,7 +16,7 @@ from matrix_dirichlet.verify import check_frame_identities
 from matrix_dirichlet.wishart import (
     SMZFrame, WishartFamily, closed_form_smz_system,
     matrix_ou_ambient, sample_matrix_dirichlet_direct, sample_smz_frame,
-    sample_wishart_family, sm_operator, smz_projection, theorem_params,
+    sample_wishart_family, sm_operator, theorem_params,
     wishart_ambient, wishart_grad_log, wishart_log_density)
 
 
