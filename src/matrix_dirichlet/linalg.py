@@ -79,16 +79,14 @@ class EigenFrame:
 
 def hermitian_eigen(H, gap_tol=1e-8):
     """Deterministic eigen-decomposition of a Hermitian matrix (LAPACK
-    through numpy eigh, then the sorting and phase-fixing conventions).
+    through numpy eigh, in its ascending order, then the phase-fixing
+    convention; U is Fortran-ordered).
 
     Raises SpectralGapError when adjacent eigenvalues are closer than
     gap_tol, since the eigenvector matrix is then not smoothly defined.
     """
     w, U = np.linalg.eigh(np.asarray(H, dtype=complex))
-    order = np.argsort(w)
-    w = np.asarray(w)[order]
-    U = np.array(U[:, order], dtype=complex)
-    U = _fix_phases(U)
+    U = _fix_phases(np.asfortranarray(U))
     frame = EigenFrame(w, U, power=1)
     if frame.min_gap() < gap_tol:
         raise SpectralGapError(

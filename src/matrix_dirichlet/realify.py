@@ -2,14 +2,18 @@
 
 Closed-form co-metric and drift tables are naturally written in terms of
 complex entries z and their conjugates, while all differentiation and
-simulation happens over real coordinates.  A layout holds two constant
-coefficient matrices
+simulation happens over real coordinates.  A layout states one constant
+coefficient matrix, each complex entry as a linear form in the real
+coordinates,
 
-    entries = E @ x_real          (each complex entry as a linear form)
-    x_real  = Re(D @ entries)     (each real coordinate as a linear form)
+    entries = E @ x_real,
 
-which define every conversion.  Since Gamma is bilinear over first-order
-forms,
+and everything else is read off it.  E's columns are orthogonal and its
+non-zeros are 1 and +-i, so its left inverse is exact:
+
+    x_real  = Re(D @ entries),    D = diag(1 / |column|^2) E^H.
+
+Since Gamma is bilinear over first-order forms,
 
     Gamma(x_a, x_b) = (D T D^T)_ab   with  T_ef = Gamma(entry_e, entry_f),
 
@@ -17,12 +21,13 @@ and conversely T = E G E^T for a real co-metric G.  Drifts convert by
 linearity: L(x_a) = Re(D @ L(entries)), L(entry_e) = (E @ L(x))_e.  For a
 scalar function f(x) = F(entries), grad_x f = Re(E^T @ dF/dentries).
 
-E and D have at most two non-zeros per row.  The Hermitian layout, which
-sits on the simulation hot path, converts points (`to_real`/`from_real`)
-by gathers through precomputed index arrays rather than products with E and
-D.  Co-metrics and drifts stay dense products: at state dimensions 4 to 27
-an index-map version measured no faster.  `simplex_layout` hands out one
-shared, read-only layout per shape.
+The Hermitian layout, which sits on the simulation hot path, converts
+points (`to_real`/`from_real`) by gathers through index arrays over the
+float view of the entries, both read off E, rather than products with E
+and D; its coordinate names are read off the same gather.  Co-metrics and
+drifts stay dense products: at state dimensions 4 to 27 an index-map
+version measured no faster.  `simplex_layout` hands out one shared
+layout per shape; every layout's arrays are read-only.
 """
 
 import functools
@@ -31,13 +36,17 @@ import numpy as np
 
 
 class Realifier:
-    """Base class: any linear complex-entries <-> real-coordinates layout."""
+    """Base class: a linear complex-entries <-> real-coordinates layout,
+    stated by its (n_entries, real_dim) entry matrix E alone."""
 
-    # subclasses set these
-    real_dim = 0
-    n_entries = 0
-    E = None
-    D = None
+    def __init__(self, E):
+        self.n_entries, self.real_dim = E.shape
+        # E's columns are orthogonal, so D = diag(1 / |column|^2) E^H
+        D = (E.conj() / (abs(E) ** 2).sum(axis=0)).T.copy()
+        for arr in (E, D):
+            arr.flags.writeable = False
+        self.E = E
+        self.D = D
 
     def gamma_to_real(self, T):
         """Real co-metric of an entry-space Gamma table or of a stack."""
@@ -71,54 +80,35 @@ class HermLayout(Realifier):
     def __init__(self, n, d):
         self.n = n
         self.d = d
-        self.real_dim = n * d * d
-        self.n_entries = n * d * d
-
         iu, ju = np.triu_indices(d, 1)
-        self.pairs = pairs = list(zip(iu.tolist(), ju.tolist()))
-
-        # per block k (offset k*d^2 in both spaces): entry indices of the
-        # diagonal, upper and lower entries, and the real coordinates of the
-        # diagonal and of each (Re, Im) pair
+        self.pairs = list(zip(iu.tolist(), ju.tolist()))
+        # per block k (offset k*d^2 in both spaces): z_ii = x_i, and for
+        # the p-th pair i < j, z_ij = x_re + i x_im and z_ji = x_re - i x_im
+        # with x_re, x_im at d + 2p and d + 2p + 1
         off = (np.arange(n) * d * d)[:, None]
-        e_diag = (off + np.arange(d) * (d + 1)).ravel()
+        diag = np.arange(d)
+        c_re = (off + d + 2 * np.arange(iu.size)).ravel()
         e_up = (off + iu * d + ju).ravel()
         e_lo = (off + ju * d + iu).ravel()
-        c_diag = (off + np.arange(d)).ravel()
-        c_re = (off + d + 2 * np.arange(len(pairs))).ravel()
-        c_im = c_re + 1
-
-        E = np.zeros((self.n_entries, self.real_dim), dtype=complex)
-        E[e_diag, c_diag] = 1.0
-        E[e_up, c_re] = 1.0
-        E[e_up, c_im] = 1.0j
-        E[e_lo, c_re] = 1.0
-        E[e_lo, c_im] = -1.0j
-        D = np.zeros((self.real_dim, self.n_entries), dtype=complex)
-        D[c_diag, e_diag] = 1.0
-        D[c_re, e_up] = 0.5
-        D[c_re, e_lo] = 0.5
-        D[c_im, e_up] = -0.5j
-        D[c_im, e_lo] = 0.5j
-
+        E = np.zeros((n * d * d, n * d * d), dtype=complex)
+        E[(off + diag * (d + 1)).ravel(), (off + diag).ravel()] = 1.0
+        E[e_up, c_re] = E[e_lo, c_re] = 1.0
+        E[e_up, c_re + 1] = 1.0j
+        E[e_lo, c_re + 1] = -1.0j
+        super().__init__(E)
         # Index maps over the float view of the stacked entries, where
-        # entry e occupies slots 2e (Re) and 2e + 1 (Im).
-        # to_real: x = entries_float[take]
-        take = np.empty(self.real_dim, dtype=np.intp)
-        take[c_diag] = 2 * e_diag
-        take[c_re] = 2 * e_up
-        take[c_im] = 2 * e_up + 1
-        # from_real: entries_float[fill] = sign * x[put], sign -1 in the Im
-        # slots of lower entries; the Im slots of the diagonal have no
-        # source and stay +0.0
-        fill = np.concatenate([2 * e_diag, 2 * e_up, 2 * e_lo, 2 * e_up + 1,
-                               2 * e_lo + 1])
-        put = np.concatenate([c_diag, c_re, c_re, c_im, c_im])
-        sign = np.repeat([1.0, -1.0], [fill.size - e_lo.size, e_lo.size])
-        for arr in (E, D, take, fill, put, sign):
+        # entry e occupies slots 2e (Re) and 2e + 1 (Im): coordinate c
+        # enters slot s with weight F[c, s].
+        F = np.ascontiguousarray(E.T).view(float)
+        # to_real: x = entries_float[take], the first slot holding +1 in
+        # each row of F, which is the upper entry's
+        take = (F == 1.0).argmax(axis=1)
+        # from_real: entries_float[fill] = sign * x[put] over the non-zeros
+        # of F; the Im slots of the diagonal have no source and stay +0.0
+        put, fill = np.nonzero(F)
+        sign = F[put, fill]
+        for arr in (take, fill, put, sign):
             arr.flags.writeable = False
-        self.E = E
-        self.D = D
         self._take = take
         self._fill = fill
         self._put = put
@@ -128,12 +118,12 @@ class HermLayout(Realifier):
         """Names of the real coordinates in layout order: Zk_di for the
         diagonal entries, then Zk_reij and Zk_imij for each pair i < j
         (k counts blocks from 1)."""
-        names = []
-        for k in range(1, self.n + 1):
-            names += ["Z%d_d%d" % (k, i) for i in range(self.d)]
-            for i, j in self.pairs:
-                names += ["Z%d_re%d%d" % (k, i, j), "Z%d_im%d%d" % (k, i, j)]
-        return names
+        entry, imag = np.divmod(self._take, 2)
+        k, i, j = np.unravel_index(entry, (self.n, self.d, self.d))
+        return ["Z%d_d%d" % (k + 1, i) if i == j
+                else "Z%d_%s%d%d" % (k + 1, ("re", "im")[m], i, j)
+                for k, i, j, m in zip(k.tolist(), i.tolist(), j.tolist(),
+                                      imag.tolist())]
 
     def to_real(self, Z_list):
         """Real coordinates of n Hermitian blocks (a list or an (n, d, d)
@@ -179,20 +169,12 @@ class CplxLayout(Realifier):
     def __init__(self, shape):
         self.shape = tuple(shape)
         self.m = m = int(np.prod(self.shape))
-        self.real_dim = 2 * m
-        self.n_entries = 2 * m
-
         a = np.arange(m)
         E = np.zeros((2 * m, 2 * m), dtype=complex)
         E[a, 2 * a] = E[m + a, 2 * a] = 1.0
         E[a, 2 * a + 1] = 1.0j
         E[m + a, 2 * a + 1] = -1.0j
-        D = np.zeros((2 * m, 2 * m), dtype=complex)
-        D[2 * a, a] = D[2 * a, m + a] = 0.5
-        D[2 * a + 1, a] = -0.5j
-        D[2 * a + 1, m + a] = 0.5j
-        self.E = E
-        self.D = D
+        super().__init__(E)
 
     def to_real(self, z):
         return np.array(z, dtype=complex).reshape(self.m).view(float)
@@ -219,10 +201,7 @@ class RealLayout(Realifier):
 
     def __init__(self, m):
         self.m = m
-        self.real_dim = m
-        self.n_entries = m
-        self.E = np.eye(m, dtype=complex)
-        self.D = np.eye(m, dtype=complex)
+        super().__init__(np.eye(m, dtype=complex))
 
     def to_real(self, v):
         return np.asarray(v, dtype=float).ravel()

@@ -45,7 +45,6 @@ from .wishart import (
     sample_wishart_family, smz_projection, theorem_params, wishart_ambient,
     wishart_grad_log)
 
-SUITE_NAMES = ("scalar", "model1", "model2", "sun", "wishart", "polar", "all")
 
 TOL_GAMMA = 1e-6
 TOL_DRIFT = 1e-4
@@ -639,6 +638,7 @@ def _suite_polar(rng, samples):
 _SUITES = {"scalar": _suite_scalar, "model1": _suite_model1,
            "model2": _suite_model2, "sun": _suite_sun,
            "wishart": _suite_wishart, "polar": _suite_polar}
+SUITE_NAMES = (*_SUITES, "all")
 
 
 def run_suite(suite, seed=0, samples=None):

@@ -134,7 +134,7 @@ class SMZFrame:
     """The frame of a family: S, lam, U, the projectors V, N, N^(-1), and
     the stacked M^(p) and Z^(p) of the n free blocks."""
 
-    def __init__(self, family, gap_tol=1e-8):
+    def __init__(self, family):
         self.family = family
         self.d = family.d
         self.n = family.n
@@ -143,7 +143,7 @@ class SMZFrame:
         S = _hermitize(family.W.sum(axis=0))
         if np.min(np.linalg.eigvalsh(S)) <= 0:
             raise NotPsdError("S = sum W must be positive definite")
-        eig = hermitian_eigen(S, gap_tol=gap_tol).sqrt_frame()
+        eig = hermitian_eigen(S).sqrt_frame()
         self.S = S
         self.lam = eig.lambdas  # the square roots of S's eigenvalues
         self.U = eig.U
@@ -423,6 +423,6 @@ def sample_smz_frame(d, dims, rng):
     (radial gaps >= 0.25, |diag U| >= 0.05), within 200 tries."""
     return _draw_frame(
         lambda: sample_wishart_family(d, dims, rng),
-        lambda family: SMZFrame(family, gap_tol=1e-10),
+        SMZFrame,
         lambda fr: not (d > 1 and np.min(np.diff(fr.lam)) < 0.25
                         or np.min(np.abs(np.diag(fr.U))) < 0.05))

@@ -120,12 +120,43 @@ def test_shared_layout_is_read_only():
             arr[0] = 1
 
 
-def test_herm_E_D_are_inverse():
-    layout = HermLayout(2, 3)
-    np.testing.assert_allclose(layout.D @ layout.E, np.eye(layout.real_dim),
-                               atol=1e-14)
-    np.testing.assert_allclose(layout.E @ layout.D, np.eye(layout.n_entries),
-                               atol=1e-14)
+def test_layout_tables_state_the_convention():
+    # HermLayout(1, 2): entries z00, z01, z10, z11; coordinates
+    # (x_d0, x_d1, x_re01, x_im01)
+    layout = HermLayout(1, 2)
+    np.testing.assert_array_equal(layout.E, [[1, 0, 0, 0],
+                                             [0, 0, 1, 1j],
+                                             [0, 0, 1, -1j],
+                                             [0, 1, 0, 0]])
+    np.testing.assert_array_equal(layout.D, [[1, 0, 0, 0],
+                                             [0, 0, 0, 1],
+                                             [0, 0.5, 0.5, 0],
+                                             [0, -0.5j, 0.5j, 0]])
+    # CplxLayout((1,)): entries z, conj z; coordinates (Re z, Im z)
+    layout = CplxLayout((1,))
+    np.testing.assert_array_equal(layout.E, [[1, 1j], [1, -1j]])
+    np.testing.assert_array_equal(layout.D, [[0.5, 0.5], [-0.5j, 0.5j]])
+
+
+_LAYOUTS = {"herm%d%d" % (n, d): HermLayout(n, d)
+            for n in (1, 2, 3) for d in (1, 2, 3)}
+_LAYOUTS.update(cplx1=CplxLayout((1,)), cplx23=CplxLayout((2, 3)),
+                real3=RealLayout(3))
+
+
+@pytest.mark.parametrize("layout", _LAYOUTS.values(), ids=_LAYOUTS.keys())
+def test_E_D_are_exact_inverses(layout):
+    assert layout.E.shape == (layout.n_entries, layout.real_dim)
+    assert (layout.D @ layout.E == np.eye(layout.real_dim)).all()
+    assert (layout.E @ layout.D == np.eye(layout.n_entries)).all()
+
+
+def test_coordinate_names_of_two_blocks():
+    assert HermLayout(2, 3).coordinate_names() == [
+        "Z1_d0", "Z1_d1", "Z1_d2",
+        "Z1_re01", "Z1_im01", "Z1_re02", "Z1_im02", "Z1_re12", "Z1_im12",
+        "Z2_d0", "Z2_d1", "Z2_d2",
+        "Z2_re01", "Z2_im01", "Z2_re02", "Z2_im02", "Z2_re12", "Z2_im12"]
 
 
 def test_cplx_roundtrip(rng):

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -94,6 +95,13 @@ def test_run_suite_one_sample_keeps_every_check():
     assert len(ids) == 77 and len(set(ids)) == 77
     assert [c["id"] for c in one["checks"]] == ids
     assert all(c["n_samples"] >= 1 for c in one["checks"])
+
+
+def test_all_suite_check_ids_match_bench_list():
+    # the verify benchmark checks every round against this list
+    path = Path(SRC).parent / "bench" / "verify_check_ids.json"
+    ids = [c["id"] for c in run_suite("all", seed=0)["checks"]]
+    assert ids == json.loads(path.read_text())
 
 
 def test_check_on_no_sample_fails():
