@@ -15,6 +15,7 @@ from scipy.linalg.lapack import zgeqrf, zungqr
 from .errors import MatrixDirichletError, NotPsdError, SpectralGapError
 
 _DRAW_CHUNK = 512  # draws per stacked kernel call
+_GAP_TOL = 1e-8  # smallest eigenvalue gap hermitian_eigen accepts
 
 
 def _hermitize(A):
@@ -77,21 +78,21 @@ class EigenFrame:
         return float(np.min(np.diff(self.lambdas)))
 
 
-def hermitian_eigen(H, gap_tol=1e-8):
+def hermitian_eigen(H):
     """Deterministic eigen-decomposition of a Hermitian matrix (LAPACK
     through numpy eigh, in its ascending order, then the phase-fixing
     convention; U is Fortran-ordered).
 
     Raises SpectralGapError when adjacent eigenvalues are closer than
-    gap_tol, since the eigenvector matrix is then not smoothly defined.
+    _GAP_TOL, since the eigenvector matrix is then not smoothly defined.
     """
     w, U = np.linalg.eigh(np.asarray(H, dtype=complex))
     U = _fix_phases(np.asfortranarray(U))
     frame = EigenFrame(w, U, power=1)
-    if frame.min_gap() < gap_tol:
+    if frame.min_gap() < _GAP_TOL:
         raise SpectralGapError(
             "minimal eigenvalue gap %.3e below tolerance %.3e"
-            % (frame.min_gap(), gap_tol))
+            % (frame.min_gap(), _GAP_TOL))
     return frame
 
 

@@ -38,11 +38,11 @@ n + 1 blocks, filled from x by cached index maps.
 """
 
 import functools
+import math
 
 import numpy as np
 from scipy.linalg import block_diag
 from scipy.linalg.lapack import zpotrf
-from scipy.special import gammaln
 
 from .calculus import DiffusionModel, _coefficient_form
 from .errors import DomainError
@@ -202,7 +202,7 @@ def sample_interior(n, d, rng, margin=1e-6):
 def log_gamma_d(a, d):
     """log of the complex multivariate gamma function."""
     return (0.5 * d * (d - 1) * np.log(np.pi)
-            + float(np.sum(gammaln(a + d - np.arange(1, d + 1)))))
+            + float(np.sum([math.lgamma(a + d - k) for k in range(1, d + 1)])))
 
 
 def matrix_dirichlet_log_density(a, point):

@@ -21,12 +21,14 @@ mixture W) comparable with the tables.  Quantities invariant under the
 diagonal phase (H, N, x, Z) need no alignment.
 """
 
+import functools
+
 import numpy as np
 
 from .calculus import DiffusionModel
 from .errors import SingularError
 from .linalg import _align_phases, _draw_frame, _hermitize, hermitian_eigen
-from .realify import CoordStack, CplxLayout, HermLayout, RealLayout
+from .realify import CoordStack, CplxLayout, RealLayout, simplex_layout
 from .simplex import ScalarModelParams
 
 
@@ -56,13 +58,16 @@ class PolarFrame:
         self.U = sq.U
         self.N = _hermitize(self.U @ np.diag(self.lam) @ self.U.conj().T)
         self.V = m @ self.U @ np.diag(1.0 / self.lam) @ self.U.conj().T
-        self.W = self.V @ self.U
         self.Z = sq.projectors
         if check:
             if np.max(np.abs(self.V @ self.N - m)) > 1e-10 * scale:
                 raise SingularError("polar reconstruction failed")
             if np.max(np.abs(self.Z.sum(axis=0) - np.eye(d))) > 1e-10:
                 raise SingularError("projectors do not resolve the identity")
+
+    @functools.cached_property
+    def W(self):
+        return self.V @ self.U
 
 
 def complex_bm_ambient(d):
@@ -71,8 +76,7 @@ def complex_bm_ambient(d):
     Entry tables Gamma(m, m) = 0 and Gamma(m, conj m) = 2 Id realify to
     the identity co-metric on the 2 d^2 real coordinates, zero drift.
     """
-    layout = CplxLayout((d, d))
-    dim = layout.real_dim
+    dim = 2 * d * d
     G = np.eye(dim)
     b = np.zeros(dim)
     return DiffusionModel(dim, gamma=lambda x: G, drift=lambda x: b)
@@ -88,23 +92,21 @@ def polar_projection(d, base_frame):
     """
     layout = CplxLayout((d, d))
     stack = CoordStack([
-        ("H", HermLayout(1, d)),
-        ("N", HermLayout(1, d)),
+        ("H", simplex_layout(1, d)),
+        ("N", simplex_layout(1, d)),
         ("lam", RealLayout(d)),
-        ("U", CplxLayout((d, d))),
-        ("V", CplxLayout((d, d))),
-        ("W", CplxLayout((d, d))),
-        ("Z", HermLayout(d - 1, d)),
+        ("U", layout),
+        ("V", layout),
+        ("W", layout),
+        ("Z", simplex_layout(d - 1, d)),
     ])
-    base_U = np.asarray(base_frame.U)
 
     def F(x):
         fr = PolarFrame(layout.from_real(x), check=False)
-        U = _align_phases(fr.U, base_U)
-        W = fr.V @ U
+        U = _align_phases(fr.U, base_frame.U)
         return stack.pack({
             "H": [fr.H], "N": [fr.N], "lam": fr.lam,
-            "U": U, "V": fr.V, "W": W, "Z": fr.Z[:d - 1]})
+            "U": U, "V": fr.V, "W": fr.V @ U, "Z": fr.Z[:d - 1]})
 
     return F, stack
 

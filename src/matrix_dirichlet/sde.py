@@ -5,8 +5,9 @@ in front of the second-order term, so the SDE matching it is
 
     dX = b dt + sigma dW   with   sigma sigma^T = 2 g.
 
-The factor 2 is easy to drop and hard to notice (it only rescales time),
-so it is produced in exactly one place, `diffusion_factor`.
+The factor 2 is easy to drop and hard to notice, so only `diffusion_factor`
+makes it.  Dropped from sigma alone it gives 1/2 g d2 + b d, whose stationary
+law differs (only scaling g and b together is a time change).
 
 Steps that leave the model's domain are retried with halved step size,
 chaining accepted sub-steps until the full increment is consumed.  Paths

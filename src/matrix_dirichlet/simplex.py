@@ -19,10 +19,10 @@ kernel pair _scalar_tables, are what the calculus oracle checks.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import gammaln
 
 from .calculus import DiffusionModel, _coefficient_form
 from .errors import DomainError, OffSphereError
@@ -145,7 +145,7 @@ def dirichlet_log_density(a, x):
     xf = full_coordinates(x)
     if np.any(xf <= 0):
         raise DomainError("log density needs a strictly interior point")
-    log_norm = gammaln(np.sum(a)) - np.sum(gammaln(a))
+    log_norm = math.lgamma(np.sum(a)) - np.sum([math.lgamma(v) for v in a])
     return float(log_norm + np.sum((a - 1.0) * np.log(xf)))
 
 

@@ -17,6 +17,8 @@ this module evaluates those closed forms and exposes the projection map so
 the generic pushforward engine can verify each one.
 """
 
+import functools
+
 import numpy as np
 
 from .calculus import DiffusionModel
@@ -25,7 +27,7 @@ from .linalg import _align_phases, _draw_frame, _hermitize, hermitian_eigen
 from .matrix_simplex import (  # noqa: F401 (the direct sampler is re-exported)
     MatrixSimplexPoint, Model2Params, _ginibre_squares, log_gamma_d,
     sample_matrix_dirichlet_direct, simplex_layout)
-from .realify import CoordStack, CplxLayout, HermLayout, RealLayout
+from .realify import CoordStack, CplxLayout, RealLayout
 
 
 class WishartFamily:
@@ -140,11 +142,10 @@ class SMZFrame:
         self.n = family.n
         self.dims = family.dims
         self.Ntot = family.Ntot
-        S = _hermitize(family.W.sum(axis=0))
+        self.S = S = _hermitize(family.W.sum(axis=0))
         if np.min(np.linalg.eigvalsh(S)) <= 0:
             raise NotPsdError("S = sum W must be positive definite")
         eig = hermitian_eigen(S).sqrt_frame()
-        self.S = S
         self.lam = eig.lambdas  # the square roots of S's eigenvalues
         self.U = eig.U
         self.V = eig.projectors
@@ -152,7 +153,10 @@ class SMZFrame:
         self.Nmat = _hermitize(self.U @ np.diag(self.lam) @ Ustar)
         self.Ninv = _hermitize(self.U @ np.diag(1.0 / self.lam) @ Ustar)
         self.M = _hermitize(self.Ninv @ family.W[:self.n] @ self.Ninv)
-        self.Z = _hermitize(Ustar @ self.M @ self.U)
+
+    @functools.cached_property
+    def Z(self):
+        return _hermitize(self.U.conj().T @ self.M @ self.U)
 
     def m_point(self):
         return MatrixSimplexPoint(self.M, check=False)
@@ -171,28 +175,25 @@ def smz_projection(d, dims, base_frame):
     in which the closed forms for the U- and Z-coordinates are stated.
     """
     m = len(dims)
-    n = m - 1
     wlay = simplex_layout(m, d)
     stack = CoordStack([
-        ("W", HermLayout(m, d)),
-        ("S", HermLayout(1, d)),
+        ("W", wlay),
+        ("S", simplex_layout(1, d)),
         ("lam", RealLayout(d)),
-        ("N", HermLayout(1, d)),
-        ("Ninv", HermLayout(1, d)),
-        ("M", HermLayout(n, d)),
+        ("N", simplex_layout(1, d)),
+        ("Ninv", simplex_layout(1, d)),
+        ("M", simplex_layout(m - 1, d)),
         ("U", CplxLayout((d, d))),
-        ("Z", HermLayout(n, d)),
+        ("Z", simplex_layout(m - 1, d)),
     ])
-    base_U = np.asarray(base_frame.U)
 
     def F(x):
         family = WishartFamily(wlay.from_real(x), dims, check=False)
         fr = SMZFrame(family)
-        U = _align_phases(fr.U, base_U)
-        Z = U.conj().T @ fr.M @ U
+        U = _align_phases(fr.U, base_frame.U)
         return stack.pack({
             "W": family.W, "S": [fr.S], "lam": fr.lam, "N": [fr.Nmat],
-            "Ninv": [fr.Ninv], "M": fr.M, "U": U, "Z": Z})
+            "Ninv": [fr.Ninv], "M": fr.M, "U": U, "Z": U.conj().T @ fr.M @ U})
 
     return F, stack
 

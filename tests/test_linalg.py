@@ -18,8 +18,12 @@ def test_diagonal_input():
 
 
 def test_degenerate_spectrum_raises():
+    # the fixed gap bound is 1e-8: a gap of 5e-9 raises, one of 2e-8 passes
     with pytest.raises(SpectralGapError):
-        hermitian_eigen(np.eye(2), gap_tol=1e-8)
+        hermitian_eigen(np.eye(2))
+    with pytest.raises(SpectralGapError):
+        hermitian_eigen(np.diag([1.0, 1.0 + 5e-9]))
+    assert hermitian_eigen(np.diag([1.0, 1.0 + 2e-8])).min_gap() > 1e-8
 
 
 def test_2x2_closed_form():
@@ -33,25 +37,33 @@ def test_2x2_closed_form():
 def test_hermitian_eigen_conventions(d, seed):
     # the conventions the frames rely on: ascending eigenvalues, a real
     # non-negative diagonal of U, reconstruction, orthonormality, and the
-    # gap error once the smallest gap is below gap_tol
+    # gap error once the smallest gap is below the fixed bound 1e-8
     gen = np.random.Generator(np.random.Philox(seed))
     H = random_hermitian(gen, d)
-    gap = float(np.min(np.diff(np.linalg.eigvalsh(H))))
-    frame = hermitian_eigen(H, gap_tol=0.5 * gap)
+    frame = hermitian_eigen(H)
     assert np.all(np.diff(frame.lambdas) > 0)
     U = frame.U
     assert np.all(np.diag(U).real >= 0)
     assert np.max(np.abs(np.diag(U).imag)) < 1e-12
     np.testing.assert_allclose(frame.matrix(), H, atol=1e-10)
     np.testing.assert_allclose(U.conj().T @ U, np.eye(d), atol=1e-12)
-    with pytest.raises(SpectralGapError):
-        hermitian_eigen(H, gap_tol=2.0 * gap)
+    # the same eigenvectors with the two lowest eigenvalues 5e-9 apart
+    # raise; 2e-8 apart they pass
+    for gap, raises in ((5e-9, True), (2e-8, False)):
+        lam = frame.lambdas.copy()
+        lam[1] = lam[0] + gap
+        Hg = U @ np.diag(lam) @ U.conj().T
+        if raises:
+            with pytest.raises(SpectralGapError):
+                hermitian_eigen(Hg)
+        else:
+            assert hermitian_eigen(Hg).min_gap() > 1e-8
 
 
 def test_frame_invariants(rng):
     for d in (2, 3, 5):
         H = random_hermitian(rng, d)
-        frame = hermitian_eigen(H, gap_tol=1e-10)
+        frame = hermitian_eigen(H)
         np.testing.assert_allclose(frame.matrix(), H, atol=1e-10)
         U = frame.U
         np.testing.assert_allclose(U @ U.conj().T, np.eye(d), atol=1e-12)
@@ -75,7 +87,7 @@ def test_determinism(rng):
 
 def test_sqrt_frame(rng):
     S = random_hermitian_psd(rng, 3)
-    frame = hermitian_eigen(S, gap_tol=1e-12).sqrt_frame()
+    frame = hermitian_eigen(S).sqrt_frame()
     np.testing.assert_allclose(frame.matrix(), S, atol=1e-9)
     assert frame.power == 2
 
