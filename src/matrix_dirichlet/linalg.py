@@ -154,9 +154,10 @@ def _haar_draws(N, rng, K, special=False):
     phase is one scalar exp and product per draw: the array exp changes the
     bits of some draws, and so does an in-place product at N = 1."""
     g = rng.standard_normal((K, 2, N, N))
-    q = np.empty((K, N, N), dtype=complex).transpose(0, 2, 1)
-    np.add(g[:, 0], 1j * g[:, 1], out=q)
-    q /= math.sqrt(2.0)
+    # (g[:, 0] + i g[:, 1]) / sqrt(2) as one product into a float view
+    q = np.empty((K, N, N, 2))
+    np.multiply(g.transpose(0, 3, 2, 1), 1.0 / math.sqrt(2.0), out=q)
+    q = q.view(complex)[..., 0].transpose(0, 2, 1)
     lwork_qr, lwork_q = _qr_lwork(N)
     diag = np.empty((K, 1, N), dtype=complex)
     for k in range(K):

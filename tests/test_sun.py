@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.linalg.blas import zgemm
+from scipy.linalg.lapack import zheevd
 
 from matrix_dirichlet.calculus import check_identity
 from matrix_dirichlet.errors import OffGroupError
@@ -272,7 +276,12 @@ def _triple_loop_step(u, dt, rng):
             xi += sRS * g1 * algebra_element("R", i, j, N)
             xi += sRS * g2 * algebra_element("S", i, j, N)
             xi += sD * g3 * algebra_element("D", i, j, N)
-    return u @ expm(np.sqrt(dt) * xi)
+    # u exp(sqrt(dt) xi) = u + (u V) diag(e^{iw} - 1) V* for
+    # H = -i sqrt(dt) xi = V diag(w) V*
+    w, V, info = zheevd(xi * (-1j * math.sqrt(dt)))
+    assert info == 0
+    return zgemm(1.0, zgemm(1.0, u, V) * (np.exp(1j * w) - 1.0), V,
+                 beta=1.0, c=u, trans_b=2)
 
 
 @pytest.mark.parametrize("d, sizes", [(1, [2, 2, 1]), (3, [3, 3]),
@@ -298,8 +307,10 @@ def test_extract_blocks_bitwise_equal_to_loop(rng, d, sizes):
 def test_brownian_path_bitwise_equal_to_single_steps(rng, N):
     # K steps from one call, or in chunks, end at the state of K single
     # steps and of the triple-loop reference bit for bit, and read the
-    # stream as they do; from Id and from a Haar point
+    # stream as they do; from Id and from a Haar point, which they leave as
+    # it was
     for u0 in (np.eye(N, dtype=complex), haar_unitary(N, rng, special=True)):
+        before = u0.copy()
         for K in (1, 2, 7, 300):
             seed = int(rng.integers(2**31))
             rngs = [np.random.Generator(np.random.Philox(seed))
@@ -316,6 +327,7 @@ def test_brownian_path_bitwise_equal_to_single_steps(rng, N):
             assert end.tobytes() == u.tobytes() == state.u.tobytes() == \
                 ref.tobytes()
             assert len({r.standard_normal() for r in rngs}) == 1
+        assert u0.tobytes() == before.tobytes()
 
 
 def test_brownian_path_dt_zero_draws_nothing(rng):
@@ -325,6 +337,83 @@ def test_brownian_path_dt_zero_draws_nothing(rng):
     assert sun_brownian_step(u0, 0.0, fresh).u.tobytes() == u0.tobytes()
     assert fresh.standard_normal() == \
         np.random.Generator(np.random.Philox(7)).standard_normal()
+
+
+@pytest.mark.parametrize("dt", [-1e-3, -1e-300, float("nan"),
+                                float("inf"), -float("inf")])
+def test_brownian_path_rejects_bad_dt(rng, dt):
+    u0 = haar_unitary(3, rng, special=True)
+    fresh = np.random.Generator(np.random.Philox(7))
+    with pytest.raises(ValueError, match="dt"):
+        _brownian_path(u0, dt, fresh, 5)
+    with pytest.raises(ValueError, match="dt"):
+        sun_brownian_step(SUNState(u0), dt, fresh)
+    assert fresh.standard_normal() == \
+        np.random.Generator(np.random.Philox(7)).standard_normal()
+
+
+class _FixedNormals:
+    """Stands in for a Generator: standard_normal returns the given draws."""
+
+    def __init__(self, g):
+        self.g = g
+
+    def standard_normal(self, shape):
+        return self.g.reshape(shape)
+
+
+def test_brownian_path_raises_when_zheevd_fails():
+    # non-finite normals make zheevd report failure; the step raises
+    # rather than return a state of NaNs
+    _, sd = _step_basis(3)
+    with pytest.raises(np.linalg.LinAlgError, match="zheevd"):
+        _brownian_path(np.eye(3, dtype=complex), 1e-3,
+                       _FixedNormals(np.full(len(sd), np.nan)), 1)
+
+
+def _step_exponentials(N, rng):
+    """Traceless skew-Hermitian X: random ones with |X| from 1e-3 to 3, and
+    degenerate spectra: X = 0, a repeated eigenvalue i c (N-1 times) and that
+    spectrum in a Haar frame."""
+    E, sd = _step_basis(N)
+    for norm in (1e-3, 1e-2, 0.1, 1.0, 3.0):
+        g = rng.standard_normal(len(sd))
+        yield g * (norm / np.linalg.norm(np.tensordot(sd * g, E, 1), 2))
+    yield np.zeros(len(sd))
+    D = 1j * np.diag(np.r_[np.ones(N - 1), 1.0 - N])
+    W = haar_unitary(N, rng, special=True)
+    basis = np.stack([(s * e).ravel() for s, e in zip(sd, E)], axis=1)
+    for X in (0.7 * D, 0.7 * (W @ D @ W.conj().T)):
+        flat = X.ravel()
+        g = np.linalg.lstsq(np.vstack([basis.real, basis.imag]),
+                            np.r_[flat.real, flat.imag], rcond=None)[0]
+        yield g
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
+def test_step_exponential_matches_expm(rng, N):
+    # one step from Id over dt = 1 is exp(X) for the X its normals build;
+    # scipy's expm is the independent reference, on spectra with and
+    # without repeated eigenvalues
+    E, sd = _step_basis(N)
+    for g in _step_exponentials(N, rng):
+        X = np.tensordot(sd * g, E, 1)
+        got = _brownian_path(np.eye(N, dtype=complex), 1.0,
+                             _FixedNormals(g), 1)
+        tol = 1e-13 * max(1.0, np.linalg.norm(X, 2))
+        assert np.max(np.abs(got - expm(X))) < tol
+        assert np.max(np.abs(got @ got.conj().T - np.eye(N))) < 1e-13
+        assert abs(np.linalg.det(got) - 1.0) < 1e-13
+    # a 300-step path stays with the expm path of the same draws
+    seed = int(rng.integers(2**31))
+    g = np.random.Generator(np.random.Philox(seed)).standard_normal(
+        (300, len(sd)))
+    ref = np.eye(N, dtype=complex)
+    for gk in g:
+        ref = ref @ expm(math.sqrt(1e-3) * np.tensordot(sd * gk, E, 1))
+    end = _brownian_path(np.eye(N, dtype=complex), 1e-3,
+                         np.random.Generator(np.random.Philox(seed)), 300)
+    assert np.max(np.abs(end - ref)) < 1e-13
 
 
 @pytest.mark.parametrize("N", [2, 3, 4])
